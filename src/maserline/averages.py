@@ -191,7 +191,7 @@ class TrigAverages:
         dist = params.tau_dist
         if isinstance(dist, ExponentialTau) and n_nodes is None:
             return cls(params.g, g_bar=params.g_bar)
-        nodes = quadrature_nodes(dist, n_nodes or 1)
+        nodes = quadrature_nodes(dist, 1 if n_nodes is None else n_nodes)
         return cls(params.g, taus=nodes.taus, weights=nodes.weights)
 
     @classmethod

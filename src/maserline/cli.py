@@ -253,19 +253,23 @@ SPECTRUM_COLUMNS = ["section", "x", "value", "status"]
 
 def cmd_spectrum(cfg: dict) -> None:
     params = _params_from_config(cfg)
-    if isinstance(params.tau_dist, ExponentialTau) and params.n_th == 0.0:
+    averages = None
+    if cfg["nodes"] is not None:
+        # statistics and generator from the same node rule: v0 must be the
+        # steady state of the generator it is evolved with
+        averages = TrigAverages.for_params(params, cfg["nodes"])
+        stats = steady_state(params, cfg["trunc"], averages)
+    elif isinstance(params.tau_dist, ExponentialTau) and params.n_th == 0.0:
         stats = steady_state_exp(params, cfg["trunc"])
     else:
         stats = steady_state(params, cfg["trunc"])
-    nodes = cfg["nodes"]
-    averages = TrigAverages.for_params(params, nodes) if nodes else None
     gen = build_sideband_generator(params, stats.N, averages)
     v0 = initial_sideband(stats)
     d_slope = linewidth_from_slope(gen, v0)
     decomp = spectral_decomposition(gen, v0)
     d_eigen = decomp.linewidth
     t_grid = np.linspace(0.0, 8.0 / d_slope, 257)
-    g_t = correlate(gen, v0, t_grid)
+    g_t = correlate(gen, v0, t_grid, decomp)
     omega = np.linspace(-4.0 * d_eigen, 4.0 * d_eigen, 513)
     s_omega, fwhm = spectrum_and_fwhm(decomp, omega)
     rows = [{"section": "time", "x": t, "value": g, "status": "ok"} for t, g in zip(t_grid, g_t)]

@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-from scipy.integrate import solve_ivp
 
 from .averages import TrigAverages, quadrature_nodes
 from .errors import IntegrationError, SpectralError, VacuumStateError
@@ -142,12 +141,23 @@ def linewidth_from_slope(gen: SidebandGenerator, v0: np.ndarray) -> float:
     return -2.0 * float(w @ gen.apply(v0)) / g0
 
 
-def correlate(gen: SidebandGenerator, v0: np.ndarray, t_grid) -> np.ndarray:
-    """g(t) on the given grid by adaptive integration of dv/dt = G v.
+def correlate(
+    gen: SidebandGenerator,
+    v0: np.ndarray,
+    t_grid,
+    decomp: SpectralDecomposition | None = None,
+) -> np.ndarray:
+    """g(t) = w . v(t) on the given grid, where dv/dt = G v.
 
-    The grid must be ascending and start at 0; local error is kept at
-    1e-10 relative.  A step failure raises :class:`IntegrationError`
-    carrying the time that was reached.
+    The grid must be ascending and start at 0.  When the eigen route
+    accepts the generator and every mode decays (Re mu_j > 0), g(t) is
+    the exact expansion Re sum_j g_j exp(-mu_j t / 2).  ``decomp`` is the
+    :func:`spectral_decomposition` of (gen, v0) if the caller already has
+    it; otherwise it is computed here, and a :class:`SpectralError` (or a
+    vacuum g(0) = 0) selects the fallback.  The fallback, used where the
+    eigen route refuses or a mode does not decay, integrates the
+    equation adaptively (DOP853) with local error 1e-10 relative; a step
+    failure raises :class:`IntegrationError` carrying the time reached.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
@@ -155,6 +165,19 @@ def correlate(gen: SidebandGenerator, v0: np.ndarray, t_grid) -> np.ndarray:
     w = coherence_weights(gen.N)
     if t_grid.size == 1:
         return np.array([float(w @ v0)])
+    if decomp is None:
+        try:
+            decomp = spectral_decomposition(gen, v0)
+        except (SpectralError, VacuumStateError):
+            pass
+    if decomp is not None and np.all(decomp.mu.real > 0.0):
+        mu, weights = decomp.mu, decomp.weights
+        if not np.any(mu.imag):  # all modes real: real arithmetic, half the work
+            mu, weights = mu.real, weights.real
+        return np.real(np.exp(np.outer(-0.5 * t_grid, mu)) @ weights)
+
+    from scipy.integrate import solve_ivp  # imported on use: off the package's import path
+
     scale = float(np.max(np.abs(v0)))
     stiff = float(np.max(np.abs(gen.diag)))
     sol = solve_ivp(
@@ -382,6 +405,8 @@ class DenseLindblad:
 
     def evolve(self, rho0: np.ndarray, t_grid, rtol: float = 1e-10) -> np.ndarray:
         """Density matrices at the requested times, shape (len(t), dim, dim)."""
+        from scipy.integrate import solve_ivp  # imported on use, as in correlate
+
         t_grid = np.asarray(t_grid, dtype=float)
         shape = rho0.shape
         sol = solve_ivp(

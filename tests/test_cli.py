@@ -5,6 +5,13 @@ import math
 
 import pytest
 
+from maserline import (
+    ExponentialTau,
+    MaserParams,
+    TrigAverages,
+    linewidth_components,
+    steady_state,
+)
 from maserline.cli import main
 
 
@@ -169,6 +176,29 @@ def test_spectrum_fwhm_near_linewidth_at_scan_point(tmp_path):
     assert abs(meta["FWHM"] - meta["D_eigen"]) / meta["D_eigen"] < 0.15
 
 
+def test_spectrum_nodes_builds_one_consistent_model(tmp_path):
+    """With --nodes the statistics come from the same node rule as the
+    generator, so the slope equals the exact route of that model."""
+    code, out = run(
+        tmp_path,
+        ["spectrum", "--rate", "50", "--dist", "exp", "--g-tau", "0.3", "--nodes", "8"],
+    )
+    assert code == 0
+    meta, _, _ = read_csv(out)
+    params = MaserParams(kappa=1.0, n_th=0.0, r=50.0, g=0.3, tau_dist=ExponentialTau(1.0))
+    averages = TrigAverages.for_params(params, 8)
+    stats = steady_state(params, None, averages)
+    exact = linewidth_components(params, stats, averages).total
+    assert meta["D_slope"] == pytest.approx(exact, rel=1e-8)
+
+
+@pytest.mark.parametrize("nodes", ["0", "-2"])
+def test_spectrum_rejects_nonpositive_nodes(capsys, nodes):
+    argv = ["spectrum", "--rate", "50", "--dist", "exp", "--g-tau", "0.3", "--nodes", nodes]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ValueError"
+
+
 def test_uniform_convergence_table(tmp_path):
     # the grid must reach theta_bar = 3 where the order hierarchy of the
     # max error is established (at 1.6..2.0 alone, order 3 transiently
@@ -227,6 +257,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "maserline" in proc.stdout
+
+
+def test_import_path_leaves_out_scipy_integrate():
+    """Importing the package and building the parser loads no time
+    stepper; only the correlation fallback and the dense oracle need it."""
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, maserline, maserline.cli; maserline.cli.build_parser(); "
+        "print('scipy.integrate' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_parallel_rows_match_serial(tmp_path):

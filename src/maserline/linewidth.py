@@ -15,6 +15,9 @@ photon statistics:
   trace over the full jump-operator set with literal truncated matrices;
   it must agree with the formula above whenever p is the true steady
   state (detailed balance), which makes it a powerful cross-check.
+  Every jump operator, and every product the trace takes, has a single
+  nonzero band, so the matrices are held as single-band matrices and the
+  trace costs O(N) per jump operator.
 * ``linewidth_scully`` and ``linewidth_mcgowan`` are the classic
   narrow-distribution and multi-eigenvalue approximations.
 * ``linewidth_exp_closed`` and ``linewidth_exp_scully`` are the closed
@@ -27,6 +30,7 @@ machine precision at photon numbers of 1e4 and beyond.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -287,14 +291,81 @@ def schawlow_townes_ratio(params: MaserParams, stats: PhotonStatistics, linewidt
 # ---------------------------------------------------------------------------
 
 
-def _lowering_operator(dim: int) -> np.ndarray:
-    a = np.zeros((dim, dim))
-    idx = np.arange(dim - 1)
-    a[idx, idx + 1] = np.sqrt(idx + 1.0)
-    return a
+class _Band:
+    """Square matrix with one nonzero band: ``M[i, i + k] = values[i]``.
+
+    ``values`` is indexed by row and has one entry per row; entries whose
+    column ``i + k`` falls outside the matrix are zero.  Every operator of
+    the jump-operator trace, and every product of them, is of this form
+    (the ladder operators sit on offsets +-1, the cosine operators on the
+    diagonal), so the trace runs as literal matrix algebra at O(N) per
+    product.  ``np.asarray`` gives the dense matrix.
+    """
+
+    # numpy scalars and arrays must defer to the methods below; without this
+    # ``np.float64 * band`` would densify through ``__array__``.
+    __array_ufunc__ = None
+
+    def __init__(self, k: int, values: np.ndarray):
+        self.k = k
+        self.values = values
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.values.size, self.values.size)
+
+    @property
+    def T(self) -> "_Band":
+        return _Band(-self.k, _shifted(self.values, -self.k))
+
+    def __matmul__(self, other):
+        if not isinstance(other, _Band):
+            return NotImplemented
+        return _Band(self.k + other.k, self.values * _shifted(other.values, self.k))
+
+    def __sub__(self, other):
+        if not isinstance(other, _Band):
+            return NotImplemented
+        if other.k != self.k:
+            raise ValueError(f"bands at offsets {self.k} and {other.k} do not make one band")
+        return _Band(self.k, self.values - other.values)
+
+    def __mul__(self, scalar):
+        if not isinstance(scalar, numbers.Real):
+            return NotImplemented
+        return _Band(self.k, scalar * self.values)
+
+    __rmul__ = __mul__
+
+    def trace(self) -> float:
+        return float(self.values.sum()) if self.k == 0 else 0.0
+
+    def __array__(self, dtype=None, copy=None):
+        dim = self.values.size
+        dense = np.zeros((dim, dim), dtype=self.values.dtype if dtype is None else dtype)
+        rows = np.arange(max(0, -self.k), min(dim, dim - self.k))
+        dense[rows, rows + self.k] = self.values[rows]
+        return dense
 
 
-def jump_operator_matrices(params: MaserParams, dim: int, n_nodes: int | None = None) -> list[np.ndarray]:
+def _shifted(values: np.ndarray, k: int) -> np.ndarray:
+    """``values[i + k]`` at every i, zero where i + k is out of range."""
+    out = np.zeros_like(values)
+    dim = values.size
+    if k >= 0:
+        out[: max(dim - k, 0)] = values[k:]
+    elif -k < dim:
+        out[-k:] = values[: dim + k]
+    return out
+
+
+def _lowering_operator(dim: int) -> _Band:
+    values = np.zeros(dim)
+    values[:-1] = np.sqrt(np.arange(1.0, dim))
+    return _Band(1, values)
+
+
+def jump_operator_matrices(params: MaserParams, dim: int, n_nodes: int | None = None) -> list[_Band]:
     """The full jump-operator set as literal dim x dim matrices.
 
     Two thermal operators plus, for every quadrature node tau_k with
@@ -303,20 +374,34 @@ def jump_operator_matrices(params: MaserParams, dim: int, n_nodes: int | None = 
     phi is the diagonal sqrt(n+1).  The scalar freedom of shifting the
     Hermitian operator by a multiple of the identity is fixed to zero; a
     real shift provably leaves the dissipator unchanged.
+
+    Each operator has a single nonzero band (the diagonal or the first
+    off-diagonal) and is returned as a single-band matrix that supports
+    ``@``, ``-``, scalar ``*``, ``.T`` and ``.trace()`` at O(dim) cost;
+    ``np.asarray(L)`` gives the dense matrix.
+
+    Fixed tau and node lists need no ``n_nodes``; an exponential
+    distribution has no finite operator set, so it needs an explicit
+    ``n_nodes`` (the Gauss-Laguerre rule) and raises ``ValueError``
+    without one.  ``n_nodes < 1`` raises ``ValueError``.
     """
     a = _lowering_operator(dim)
-    adag = a.T.copy()
+    adag = a.T
     phi = np.sqrt(np.arange(1.0, dim + 1.0))
     ops = [np.sqrt(params.kappa * (1.0 + params.n_th)) * a]
     if params.n_th > 0:
         ops.append(np.sqrt(params.kappa * params.n_th) * adag)
     if params.r > 0:
-        nodes = quadrature_nodes(params.tau_dist, n_nodes or 1)
+        if n_nodes is None:
+            if isinstance(params.tau_dist, ExponentialTau):
+                raise ValueError("an exponential distribution needs an explicit n_nodes for its jump operators")
+            n_nodes = 1
+        nodes = quadrature_nodes(params.tau_dist, n_nodes)
         for tau, dp in zip(nodes.taus, nodes.weights):
             amp = np.sqrt(params.r * dp)
             arg = params.g * tau * phi
-            ops.append(amp * np.diag(np.cos(arg)))
-            ops.append(amp * adag @ np.diag(np.sinc(arg / np.pi) * params.g * tau))
+            ops.append(amp * _Band(0, np.cos(arg)))
+            ops.append(amp * adag @ _Band(0, np.sinc(arg / np.pi) * params.g * tau))
     return ops
 
 
@@ -332,6 +417,11 @@ def linewidth_lindblad_trace(
     evaluated with literal truncated matrices.  Independent of the
     detailed-balance reduction, so it cross-checks
     :func:`linewidth_components` route for any steady state.
+
+    Every operator in the sum, and every product of them, has a single
+    nonzero band, so the products are taken on single-band matrices (see
+    :func:`jump_operator_matrices`) and the trace costs O(N) per jump
+    operator instead of the O(N^3) of dense products.
 
     For the exponential distribution without an explicit ``n_nodes`` the
     node count is doubled (8, 16, ..., 512) until the result is stable to
@@ -354,12 +444,12 @@ def linewidth_lindblad_trace(
 def _lindblad_trace_value(params: MaserParams, stats: PhotonStatistics) -> float:
     dim = stats.N + 1
     a = _lowering_operator(dim)
-    adag = a.T.copy()
-    a_rho = a * stats.p[None, :]  # a @ diag(p)
+    adag = a.T
+    a_rho = a @ _Band(0, stats.p)  # a @ diag(p)
     total = 0.0
     for L in jump_operator_matrices(params, dim):
         Ldag = L.T
         comm1 = adag @ L - L @ adag
         comm2 = Ldag @ adag - adag @ Ldag
-        total -= float(np.trace(Ldag @ comm1 @ a_rho)) + float(np.trace(comm2 @ L @ a_rho))
+        total -= (Ldag @ comm1 @ a_rho).trace() + (comm2 @ L @ a_rho).trace()
     return total

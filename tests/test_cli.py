@@ -261,17 +261,19 @@ def test_module_entry_point():
 
 def test_import_path_leaves_out_scipy_integrate():
     """Importing the package and building the parser loads no time
-    stepper; only the correlation fallback and the dense oracle need it."""
+    stepper (only the correlation fallback and the dense oracle need it)
+    and no sparse-matrix package (the jump-operator trace uses its own
+    single-band matrices)."""
     import subprocess
     import sys
 
     code = (
         "import sys, maserline, maserline.cli; maserline.cli.build_parser(); "
-        "print('scipy.integrate' in sys.modules)"
+        "print('scipy.integrate' in sys.modules, 'scipy.sparse' in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def test_parallel_rows_match_serial(tmp_path):

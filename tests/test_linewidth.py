@@ -8,6 +8,7 @@ import pytest
 
 from maserline import (
     DenseLindblad,
+    DiscreteTau,
     ExponentialTau,
     FixedTau,
     MaserParams,
@@ -180,7 +181,7 @@ def test_hermitian_jump_shift_leaves_dissipator_invariant(maser_params):
     rng = np.random.default_rng(11)
     p = maser_params(2.0)
     dim = 24
-    jumps = jump_operator_matrices(p, dim)
+    jumps = [np.asarray(L) for L in jump_operator_matrices(p, dim)]
     rho = rng.standard_normal((dim, dim))
     rho = rho + rho.T
     base = DenseLindblad(jumps).apply(rho)
@@ -202,6 +203,7 @@ def test_hermitian_jump_shift_leaves_linewidth_invariant(maser_params):
     def trace_value(shift):
         total = 0.0
         for k, L in enumerate(jump_operator_matrices(p, dim)):
+            L = np.asarray(L)
             if k == 2:
                 L = L + shift * np.eye(dim)
             Ldag = L.T
@@ -213,6 +215,101 @@ def test_hermitian_jump_shift_leaves_linewidth_invariant(maser_params):
     base = trace_value(0.0)
     for shift in (1.0, -3.0):
         assert trace_value(shift) == pytest.approx(base, rel=1e-10)
+
+
+# -- jump-operator trace on single-band matrices --------------------------------
+
+# (id, params, n_nodes): fixed tau, a three-node list, fixed tau at n_th > 0,
+# and exponential tau on 24 Gauss-Laguerre nodes
+JUMP_MODELS = [
+    ("fixed", MaserParams(1.0, 0.0, 50.0, 2.5 * math.pi / math.sqrt(50.0), FixedTau(1.0)), None),
+    ("three_nodes", MaserParams(1.0, 0.0, 50.0, 0.3, DiscreteTau([0.5, 1.0, 1.5], [0.25, 0.5, 0.25])), None),
+    ("fixed_n_th", MaserParams(1.0, 0.1, 50.0, 0.35, FixedTau(1.0)), None),
+    ("exp_24_nodes", MaserParams(1.0, 0.0, 50.0, 0.3, ExponentialTau(1.0)), 24),
+]
+
+
+def dense_jump_operators(params, dim, n_nodes):
+    """The jump-operator set built as dense ndarrays, entry by entry."""
+    a = np.zeros((dim, dim))
+    idx = np.arange(dim - 1)
+    a[idx, idx + 1] = np.sqrt(idx + 1.0)
+    adag = a.T.copy()
+    phi = np.sqrt(np.arange(1.0, dim + 1.0))
+    ops = [np.sqrt(params.kappa * (1.0 + params.n_th)) * a]
+    if params.n_th > 0:
+        ops.append(np.sqrt(params.kappa * params.n_th) * adag)
+    nodes = quadrature_nodes(params.tau_dist, n_nodes or 1)
+    for tau, dp in zip(nodes.taus, nodes.weights):
+        amp = np.sqrt(params.r * dp)
+        arg = params.g * tau * phi
+        ops.append(amp * np.diag(np.cos(arg)))
+        ops.append(amp * adag @ np.diag(np.sinc(arg / np.pi) * params.g * tau))
+    return ops
+
+
+def dense_trace_linewidth(jumps, stats):
+    """The double-commutator trace on dense ndarrays, divided by <n>."""
+    dim = stats.N + 1
+    a = np.zeros((dim, dim))
+    idx = np.arange(dim - 1)
+    a[idx, idx + 1] = np.sqrt(idx + 1.0)
+    a_rho = a * stats.p[None, :]
+    total = 0.0
+    for L in jumps:
+        Ldag = L.T
+        comm1 = a.T @ L - L @ a.T
+        comm2 = Ldag @ a.T - a.T @ Ldag
+        total -= np.trace(Ldag @ comm1 @ a_rho) + np.trace(comm2 @ L @ a_rho)
+    return total / stats.mean
+
+
+@pytest.mark.parametrize("model", JUMP_MODELS, ids=[m[0] for m in JUMP_MODELS])
+def test_band_jump_operators_are_the_literal_matrices(model):
+    _, params, n_nodes = model
+    dim = 30
+    band = jump_operator_matrices(params, dim, n_nodes)
+    dense = dense_jump_operators(params, dim, n_nodes)
+    assert len(band) == len(dense)
+    for L, ref in zip(band, dense):
+        assert L.shape == (dim, dim)
+        np.testing.assert_allclose(np.asarray(L), ref, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(np.asarray(L.T), ref.T, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("model", JUMP_MODELS, ids=[m[0] for m in JUMP_MODELS])
+def test_band_trace_matches_dense_trace(model):
+    _, params, n_nodes = model
+    stats = steady_state(params, 150)
+    dense = dense_trace_linewidth([np.asarray(L) for L in jump_operator_matrices(params, 151, n_nodes)], stats)
+    assert linewidth_lindblad_trace(params, stats, n_nodes) == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("r, N", [(1000.0, 4000), (5000.0, None)])
+def test_trace_route_at_large_basis(maser_params, r, N):
+    """Basis sizes the dense O(N^3) trace could not reach: the trace must
+    still agree with the exact route."""
+    p = maser_params(2.5, r=r, n_th=0.01)
+    stats = steady_state(p, N)
+    assert stats.N == (N or 20000)
+    exact = linewidth_components(p, stats).total
+    assert linewidth_lindblad_trace(p, stats) == pytest.approx(exact, rel=1e-10)
+
+
+@pytest.mark.parametrize("dist", [FixedTau(1.0), ExponentialTau(1.0)], ids=["fixed", "exp"])
+def test_jump_operator_matrices_rejects_zero_nodes(dist):
+    p = MaserParams(1.0, 0.0, 50.0, 0.3, dist)
+    with pytest.raises(ValueError):
+        jump_operator_matrices(p, 20, 0)
+
+
+def test_jump_operator_matrices_exponential_needs_nodes(laser_params):
+    """The exponential distribution has no finite operator set; without
+    explicit nodes it must be refused, not replaced by a one-node rule."""
+    p = laser_params(1.0)
+    with pytest.raises(ValueError):
+        jump_operator_matrices(p, 20)
+    assert len(jump_operator_matrices(p, 20, 8)) == 1 + 2 * 8
 
 
 # -- classic formulas ----------------------------------------------------------

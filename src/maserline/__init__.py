@@ -57,7 +57,6 @@ from .regression import (
 from .steady import (
     PhotonStatistics,
     auto_truncation,
-    moments,
     steady_state,
     steady_state_exp,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "linewidth_lindblad_trace",
     "linewidth_mcgowan",
     "linewidth_scully",
-    "moments",
     "offsector_mass",
     "phi_eigenvalues",
     "quadrature_nodes",

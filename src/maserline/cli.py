@@ -175,14 +175,18 @@ def _scan_theta_row(task) -> dict:
     kappa = float(cfg["kappa"])
     if rate > 0:
         g_tau = theta / math.sqrt(rate / kappa)
+    elif cfg["g_tau"] is None:
+        g_tau = 1.0
     else:
-        g_tau = float(cfg["g_tau"] or 1.0)
+        g_tau = float(cfg["g_tau"])
     params = _params_from_config(cfg, g_tau=g_tau)
     row = {"theta": theta, "g_tau": g_tau, "status": "ok"}
-    stats = steady_state(params, cfg["trunc"])
+    # every quantity of the row is exact on the levels up to the last p_n != 0
+    stats = steady_state(params, cfg["trunc"]).on_support()
+    averages = TrigAverages.for_params(params)
     row["n_mean"] = stats.mean
     try:
-        breakdown = linewidth_components(params, stats)
+        breakdown = linewidth_components(params, stats, averages)
     except VacuumStateError:
         row["status"] = "vacuum"
         return row
@@ -192,9 +196,9 @@ def _scan_theta_row(task) -> dict:
         D_cos=breakdown.cosine,
         D_sin=breakdown.sine,
         D_scully=linewidth_scully(params, stats),
-        D_mcgowan=linewidth_mcgowan(params, stats),
+        D_mcgowan=linewidth_mcgowan(params, stats, averages),
     )
-    gen = build_sideband_generator(params, stats.N)
+    gen = build_sideband_generator(params, stats.N, averages)
     row["D_slope"] = linewidth_from_slope(gen, initial_sideband(stats))
     ratio, reference = schawlow_townes_ratio(params, stats, breakdown.total)
     row["st_ratio"] = ratio

@@ -25,6 +25,8 @@ from .model import ExponentialTau, MaserParams
 # unless it is an exact trapping-state zero.
 TAIL_TOL = 1e-12
 NORMALIZATION_TOL = 1e-12
+# largest basis the truncation search may choose
+_DEFAULT_HARD_LIMIT = 20000
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,10 +70,25 @@ class PhotonStatistics:
         m = float(n @ self.p)
         return float((n * n) @ self.p) - m * m
 
+    def on_support(self) -> "PhotonStatistics":
+        """The same statistics cut to N' = max(last nonzero level + 1, 2).
 
-def moments(stats: PhotonStatistics) -> tuple[float, float]:
-    """Mean and variance of the photon number by direct summation."""
-    return stats.mean, stats.variance
+        Returns ``self`` when N' is not below N.  The cut keeps p_{N'} = 0
+        as its top level, so it is exact for everything that sums p_n
+        against finite per-level weights (mean, the exact and classic
+        linewidth routes) and for the initial slope w . G v0: v0 vanishes
+        from component N'-1 on, so the rows of G that the cut drops or
+        changes (the last-row truncation correction) multiply zeros.  The
+        tail bound carries over; it is 0.0 whenever a cut happens, since
+        p_N = 0 there.  Dynamics beyond t = 0 (the correlation function,
+        the eigen expansion) can move probability into the dropped levels
+        and need the full basis.
+        """
+        nonzero = np.flatnonzero(self.p)
+        n_cut = max(int(nonzero[-1]) + 1, 2)
+        if n_cut >= self.N:
+            return self
+        return PhotonStatistics(self.p[: n_cut + 1].copy(), n_cut, self.tail_mass_bound)
 
 
 def recurrence_ratios(params: MaserParams, N: int, averages: TrigAverages | None = None) -> np.ndarray:
@@ -120,6 +137,12 @@ def steady_state(
     The tau average in the gain uses ``averages`` when given (e.g. a
     fixed Gauss-Laguerre discretization), otherwise the distribution's
     default: exact point mass, node list, or the closed exponential form.
+
+    Without ``N`` and ``averages`` the truncation search of
+    :func:`auto_truncation` runs once and its accepted candidate already
+    holds p and the ratio at the edge, so the recurrence is evaluated once
+    per candidate and not again here; the result is bit-identical to
+    ``steady_state(params, auto_truncation(params))``.
     """
     if params.r == 0.0 and params.n_th == 0.0:
         # vacuum fixed point; shortcut documents intent
@@ -127,6 +150,9 @@ def steady_state(
         p = np.zeros(n + 1)
         p[0] = 1.0
         return PhotonStatistics(p, n, 0.0)
+    if N is None and averages is None:
+        N, p, edge_ratio = _truncation_search(params, _DEFAULT_HARD_LIMIT)
+        return PhotonStatistics(p, N, _tail_bound(p, edge_ratio))
     if N is None:
         N = auto_truncation(params)
     if N < 1:
@@ -155,14 +181,24 @@ def steady_state_exp(params: MaserParams, N: int | None = None) -> PhotonStatist
     return PhotonStatistics(p, N, _tail_bound(p, float(ratios[N])))
 
 
-def auto_truncation(params: MaserParams, hard_limit: int = 20000) -> int:
-    """Pick a truncation N with the recurrence contracting on n >= N/4
+def auto_truncation(params: MaserParams, hard_limit: int = _DEFAULT_HARD_LIMIT) -> int:
+    """Pick a truncation N with the recurrence contracting on N/4 <= n < N
     and an adequately small tail; doubles on failure up to ``hard_limit``.
+
+    The search evaluates the recurrence on N + 1 links per candidate, so
+    :func:`steady_state` takes p and the edge ratio from the accepted
+    candidate instead of evaluating it again.
     """
+    return _truncation_search(params, hard_limit)[0]
+
+
+def _truncation_search(params: MaserParams, hard_limit: int) -> tuple[int, np.ndarray, float]:
+    """The truncation N of :func:`auto_truncation`, with p on 0..N and the
+    recurrence ratio p_{N+1}/p_N at the edge, both from default averages."""
     n_ex = params.n_ex
     if params.r == 0.0:
         if params.n_th == 0.0:
-            return 1
+            return 1, np.array([1.0, 0.0]), 0.0
         # thermal geometric tail: ratio q = n_th/(1+n_th) forever
         q = params.n_th / (1.0 + params.n_th)
         needed = math.ceil(-12.0 * math.log(10.0) / math.log(q)) if q > 0 else 1
@@ -179,12 +215,12 @@ def auto_truncation(params: MaserParams, hard_limit: int = 20000) -> int:
             raise ResourceLimitError(
                 f"adequate truncation exceeds the hard limit of {hard_limit} levels"
             )
-        ratios = recurrence_ratios(params, candidate, None)
-        if np.all(ratios[candidate // 4 :] < 1.0):
-            p = statistics_from_ratios(ratios)
+        ratios = recurrence_ratios(params, candidate + 1, None)
+        if np.all(ratios[candidate // 4 : candidate] < 1.0):
+            p = statistics_from_ratios(ratios[:candidate])
             top = p[-1]
             if top == 0.0 or top <= TAIL_TOL * p.max():
-                return candidate
+                return candidate, p, float(ratios[candidate])
         candidate *= 2
 
 

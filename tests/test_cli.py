@@ -118,6 +118,14 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert err["error"] == "ConfigError"
 
 
+def test_scan_theta_rejects_zero_g_tau_at_zero_rate(capsys):
+    """An explicit g*tau of 0 reaches parameter validation instead of
+    being replaced by the default of 1."""
+    code = main(["scan-theta", "--rate", "0", "--g-tau", "0", "--steps", "1"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+
 def test_scan_requires_fixed_distribution(capsys):
     assert main(["scan-theta", "--dist", "exp", "--rate", "50"]) == 2
     err = json.loads(capsys.readouterr().err.strip())
@@ -277,12 +285,14 @@ def test_import_path_leaves_out_scipy_integrate():
 
 
 def test_parallel_rows_match_serial(tmp_path):
-    argv = ["scan-theta", "--rate", "50", "--nth", "0.01", "--min", "0.6", "--max", "2.0", "--steps", "4"]
-    _, serial = run(tmp_path, argv, "serial.csv")
-    _, parallel = run(tmp_path, argv + ["--jobs", "2"], "parallel.csv")
-    serial_meta, _, serial_rows = read_csv(serial)
-    parallel_meta, _, parallel_rows = read_csv(parallel)
-    assert serial_rows == parallel_rows
+    # r=50 keeps every level; at r=1000 the rows are cut to the nonzero support
+    for rate in ("50", "1000"):
+        argv = ["scan-theta", "--rate", rate, "--nth", "0.01", "--min", "0.6", "--max", "2.0", "--steps", "4"]
+        _, serial = run(tmp_path, argv, f"serial{rate}.csv")
+        _, parallel = run(tmp_path, argv + ["--jobs", "2"], f"parallel{rate}.csv")
+        serial_meta, _, serial_rows = read_csv(serial)
+        parallel_meta, _, parallel_rows = read_csv(parallel)
+        assert serial_rows == parallel_rows
 
 
 def test_stdout_default(capsys):

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import maserline.steady
 from maserline import (
     DenseLindblad,
+    DiscreteTau,
     ExponentialTau,
     FixedTau,
     MaserParams,
@@ -15,8 +17,15 @@ from maserline import (
     ResourceLimitError,
     TrigAverages,
     TruncationError,
+    VacuumStateError,
     auto_truncation,
-    moments,
+    build_sideband_generator,
+    initial_sideband,
+    linewidth_components,
+    linewidth_from_slope,
+    linewidth_mcgowan,
+    linewidth_scully,
+    schawlow_townes_ratio,
     steady_state,
     steady_state_exp,
 )
@@ -31,14 +40,14 @@ def test_vacuum_fixed_point():
     p = MaserParams(kappa=1.0, n_th=0.0, r=0.0, g=1.0, tau_dist=FixedTau(1.0))
     stats = steady_state(p, 5)
     np.testing.assert_array_equal(stats.p, [1, 0, 0, 0, 0, 0])
-    assert moments(stats) == (0.0, 0.0)
+    assert (stats.mean, stats.variance) == (0.0, 0.0)
 
 
 def test_thermal_geometric_series(thermal_params):
     stats = steady_state(thermal_params(1.0))
     n = np.arange(stats.N + 1)
     np.testing.assert_allclose(stats.p, 0.5 ** (n + 1.0), rtol=1e-13)
-    mean, var = moments(stats)
+    mean, var = stats.mean, stats.variance
     assert mean == pytest.approx(1.0, rel=1e-12)
     assert var == pytest.approx(2.0, rel=1e-12)
 
@@ -85,7 +94,7 @@ def test_bimodal_statistics_match_dense_evolution_oracle():
     sol = solve_ivp(lambda t, y: rates @ y, (0.0, 60.0), np.full(401, 1.0 / 401), method="DOP853", rtol=1e-9, atol=1e-14)
     evolved = sol.y[:, -1]
     assert local_maxima(evolved) == [33, 131]
-    mean, _ = moments(stats)
+    mean = stats.mean
     assert 33 < mean < 131
 
 
@@ -198,3 +207,101 @@ def test_unit_rescaling_invariance():
     s1 = steady_state(base, 300)
     s2 = steady_state(scaled, 300)
     np.testing.assert_allclose(s1.p, s2.p, rtol=0, atol=1e-15)
+
+
+# -- one truncation search -----------------------------------------------------
+
+SEARCH_CASES = {
+    "fixed_r50": MaserParams(1.0, 0.01, 50.0, 2.5 * math.pi / math.sqrt(50.0), FixedTau(1.0)),
+    "fixed_r5000": MaserParams(1.0, 0.01, 5000.0, 2.5 * math.pi / math.sqrt(5000.0), FixedTau(1.0)),
+    "exponential": MaserParams(1.0, 0.0, (2.0 / 0.3) ** 2, 0.3, ExponentialTau(1.0)),
+    "three_nodes": MaserParams(1.0, 0.01, 50.0, 2.5 * math.pi / math.sqrt(50.0),
+                               DiscreteTau([0.7, 1.0, 1.3], [0.3, 0.4, 0.3])),
+    "thermal_r0": MaserParams(1.0, 0.1, 0.0, 1.0, FixedTau(1.0)),
+    "trapping_nth0": MaserParams(1.0, 0.0, 200.0, math.pi / math.sqrt(10.0), FixedTau(1.0)),
+}
+
+
+@pytest.mark.parametrize("params", SEARCH_CASES.values(), ids=SEARCH_CASES.keys())
+def test_steady_state_takes_the_search_result(params):
+    """steady_state(params) reuses p and the edge ratio of the accepted
+    truncation candidate: the same bits as solving again at that N."""
+    stats = steady_state(params)
+    reference = steady_state(params, auto_truncation(params))
+    assert stats.N == reference.N
+    assert np.array_equal(stats.p, reference.p)
+    assert stats.tail_mass_bound == reference.tail_mass_bound
+
+
+def test_steady_state_evaluates_the_recurrence_once(monkeypatch):
+    calls = []
+    original = maserline.steady.recurrence_ratios
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(maserline.steady, "recurrence_ratios", counted)
+    stats = steady_state(SEARCH_CASES["fixed_r50"])
+    assert calls == [stats.N + 1]  # the first candidate is accepted
+
+
+# -- cut to the nonzero support ------------------------------------------------
+
+
+def _scan_row_quantities(params, stats):
+    breakdown = linewidth_components(params, stats)
+    gen = build_sideband_generator(params, stats.N)
+    return [
+        stats.mean,
+        breakdown.total,
+        breakdown.thermal,
+        breakdown.cosine,
+        breakdown.sine,
+        linewidth_scully(params, stats),
+        linewidth_mcgowan(params, stats),
+        linewidth_from_slope(gen, initial_sideband(stats)),
+        schawlow_townes_ratio(params, stats, breakdown.total)[0],
+    ]
+
+
+@pytest.mark.parametrize("theta_over_pi", [1.0, 2.5])
+@pytest.mark.parametrize("r, n_th", [(1000.0, 0.01), (1000.0, 0.0), (5000.0, 0.01), (5000.0, 0.0)])
+def test_support_cut_keeps_every_scan_quantity(maser_params, r, n_th, theta_over_pi):
+    p = maser_params(theta_over_pi, r=r, n_th=n_th)
+    full = steady_state(p)
+    cut = full.on_support()
+    assert cut.N < full.N  # the cut happens, so the comparison is not vacuous
+    assert cut.p[-1] == 0.0 and cut.p[-2] > 0.0
+    assert cut.tail_mass_bound == full.tail_mass_bound == 0.0
+    np.testing.assert_allclose(
+        _scan_row_quantities(p, cut), _scan_row_quantities(p, full), rtol=1e-13, atol=0.0
+    )
+
+
+def test_support_cut_is_identity_on_full_support(maser_params):
+    stats = steady_state(maser_params(2.5, r=50.0, n_th=0.01))
+    assert np.all(stats.p > 0.0)
+    assert stats.on_support() is stats
+
+
+@pytest.mark.parametrize(
+    "p, n_cut",
+    [([1.0, 0.0, 0.0, 0.0], 2), ([0.5, 0.5, 0.0, 0.0, 0.0], 2), ([0.5, 0.25, 0.25, 0.0, 0.0], 3), ([1.0, 0.0], 1)],
+)
+def test_support_cut_keeps_two_sideband_components(p, n_cut):
+    cut = PhotonStatistics.from_probabilities(p).on_support()
+    assert cut.N == n_cut
+    np.testing.assert_array_equal(cut.p, p[: n_cut + 1])
+
+
+def test_support_cut_near_vacuum_builds_the_generator():
+    # g tau = pi traps the field at n = 0: p = (1, 0, 0, ...)
+    p = MaserParams(1.0, 0.0, 50.0, math.pi, FixedTau(1.0))
+    cut = steady_state(p).on_support()
+    assert cut.N == 2
+    gen = build_sideband_generator(p, cut.N)
+    with pytest.raises(VacuumStateError):
+        linewidth_from_slope(gen, initial_sideband(cut))
+    with pytest.raises(VacuumStateError):
+        linewidth_components(p, cut)

@@ -36,9 +36,7 @@ from .model import (
     DiscreteTau,
     ExponentialTau,
     FixedTau,
-    FockDiagonal,
     MaserParams,
-    phi_eigenvalues,
 )
 from .regression import (
     DenseLindblad,
@@ -61,13 +59,12 @@ from .steady import (
     steady_state_exp,
 )
 from .uniform import (
+    LaguerreAverages,
     UniformLindbladSet,
     build_uniform_lindblad,
     laguerre_trig_coeffs,
-    uniform_gain,
     uniform_generator,
     uniform_linewidth,
-    uniform_pump_weights,
     uniform_steady_state,
 )
 
@@ -79,9 +76,9 @@ __all__ = [
     "DiscreteTau",
     "ExponentialTau",
     "FixedTau",
-    "FockDiagonal",
     "FockResolvedWeights",
     "IntegrationError",
+    "LaguerreAverages",
     "LinewidthBreakdown",
     "MaserParams",
     "MaserlineError",
@@ -113,7 +110,6 @@ __all__ = [
     "linewidth_mcgowan",
     "linewidth_scully",
     "offsector_mass",
-    "phi_eigenvalues",
     "quadrature_nodes",
     "refine_until_stable",
     "schawlow_townes_ratio",
@@ -121,9 +117,7 @@ __all__ = [
     "spectrum_and_fwhm",
     "steady_state",
     "steady_state_exp",
-    "uniform_gain",
     "uniform_generator",
     "uniform_linewidth",
-    "uniform_pump_weights",
     "uniform_steady_state",
 ]

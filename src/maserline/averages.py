@@ -17,9 +17,6 @@ distributions:
       \\int_0^\\infty  e^{-t} \\sin(a t) \\sin(b t)\\,dt
           = \\frac{2ab}{(1+(a-b)^2)\\,(1+(a+b)^2)}
 
-      \\int_0^\\infty  e^{-t} \\sin(a t) \\cos(b t)\\,dt
-          = \\tfrac12 \\left[ \\frac{a+b}{1+(a+b)^2} + \\frac{a-b}{1+(a-b)^2} \\right]
-
 * Gauss-Laguerre node lists generated from the exponential weight, for
   cross-checking the closed forms against generic quadrature.
 
@@ -54,8 +51,8 @@ def exp_average_trig(kind: str, a, b):
     Parameters
     ----------
     kind:
-        One of ``"cos_cos"``, ``"sin_sin"``, ``"sin_cos"`` (first trig
-        takes ``a``, second takes ``b``).
+        ``"cos_cos"`` or ``"sin_sin"`` (first trig takes ``a``, second
+        takes ``b``).
     a, b:
         Dimensionless frequency-time products; scalars or arrays.
     """
@@ -72,8 +69,6 @@ def exp_average_trig(kind: str, a, b):
     elif kind == "sin_sin":
         # product form: no cancellation for a ~ b
         out = 2.0 * a * b / (one_m * one_p)
-    elif kind == "sin_cos":
-        out = 0.5 * (dp / one_p + dm / one_m)
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return out if out.shape else float(out)
@@ -162,9 +157,11 @@ class TrigAverages:
     the sqrt-photon-number factors; the Rabi frequency and the
     distribution are folded in at construction.
 
-    When two arguments differ by a numerically delicate amount (e.g.
-    sqrt(n+1) - sqrt(n) at large n) the caller may pass the stable
-    difference explicitly via ``diff``.
+    An instance is one family of tau averages: a node list (point mass,
+    discrete list, Gauss-Laguerre rule) or the closed exponential form.
+    The builders of the statistics, the generator, the pump weights and
+    the jump operators use only the methods below, so a third family (the
+    truncated Laguerre sums of :mod:`maserline.uniform`) overrides them.
     """
 
     def __init__(self, g: float, *, taus=None, weights=None, g_bar: float | None = None):
@@ -172,7 +169,8 @@ class TrigAverages:
             raise ValueError("exactly one of node list or g_bar must be given")
         self._g = float(g)
         if taus is not None:
-            self._gtaus = self._g * np.asarray(taus, dtype=float)
+            self._taus = np.asarray(taus, dtype=float)
+            self._gtaus = self._g * self._taus
             self._weights = np.asarray(weights, dtype=float)
             self._g_bar = None
         else:
@@ -199,27 +197,11 @@ class TrigAverages:
         return cls(g, taus=nodes.taus, weights=nodes.weights)
 
     @property
-    def is_closed_form(self) -> bool:
-        return self._g_bar is not None
-
-    @property
-    def nodes(self) -> DiscreteTau:
-        if self._gtaus is None:
-            raise ValueError("closed-form averages carry no node list")
-        return DiscreteTau(self._gtaus / self._g, self._weights)
-
-    @property
     def point_data(self) -> tuple[np.ndarray, np.ndarray]:
         """Rabi angles g*tau_k and weights of the node list."""
         if self._gtaus is None:
             raise ValueError("closed-form averages carry no node list")
         return self._gtaus, self._weights
-
-    @property
-    def g_bar(self) -> float:
-        if self._g_bar is None:
-            raise ValueError("node-list averages carry no g_bar")
-        return self._g_bar
 
     # -- elementary products ------------------------------------------------
 
@@ -227,19 +209,20 @@ class TrigAverages:
         return np.multiply.outer(self._gtaus, np.asarray(x, dtype=float))
 
     def cos_cos(self, x, y):
-        if self.is_closed_form:
+        if self._gtaus is None:
             return exp_average_trig("cos_cos", self._g_bar * np.asarray(x, float), self._g_bar * np.asarray(y, float))
         return np.tensordot(self._weights, np.cos(self._outer(x)) * np.cos(self._outer(y)), axes=(0, 0))
 
     def sin_sin(self, x, y):
-        if self.is_closed_form:
+        if self._gtaus is None:
             return exp_average_trig("sin_sin", self._g_bar * np.asarray(x, float), self._g_bar * np.asarray(y, float))
         return np.tensordot(self._weights, np.sin(self._outer(x)) * np.sin(self._outer(y)), axes=(0, 0))
 
-    def sin_cos(self, x, y):
-        if self.is_closed_form:
-            return exp_average_trig("sin_cos", self._g_bar * np.asarray(x, float), self._g_bar * np.asarray(y, float))
-        return np.tensordot(self._weights, np.sin(self._outer(x)) * np.cos(self._outer(y)), axes=(0, 0))
+    def anticommutator_norm(self, s):
+        """<cos^2(g tau s) + sin^2(g tau s)>, the weight of the pump
+        dissipator's anticommutator term at sqrt-level s: exactly 1 for
+        averages over a probability measure (node lists, closed form)."""
+        return 1.0
 
     # -- stable compound averages used by the recurrence and the weights ----
 
@@ -251,7 +234,7 @@ class TrigAverages:
         states truncate the photon statistics with hard zeros.
         """
         s = np.asarray(s, dtype=float)
-        if self.is_closed_form:
+        if self._gtaus is None:
             a = self._g_bar * s
             return 2.0 * self._g_bar**2 / (1.0 + 4.0 * a * a)
         arg = self._outer(s)
@@ -259,6 +242,54 @@ class TrigAverages:
         if snap_trapping:
             sinc = np.where(np.abs(sinc) < TRAPPING_SINC_TOL, 0.0, sinc)
         return np.tensordot(self._weights, (self._gtaus**2)[:, None] * sinc * sinc, axes=(0, 0))
+
+    def squared_differences(self, n):
+        """The squared trig differences of the pump weights at photon
+        numbers ``n``, free of cancellation at large n: <(cos A - cos B)^2>
+        and <(sqrt(n+1) sin A - sqrt(n) sin B)^2>, A = g tau sqrt(n+1),
+        B = g tau sqrt(n)."""
+        n = np.asarray(n, dtype=float)
+        s = np.sqrt(n)
+        s1 = np.sqrt(n + 1.0)
+        sigma = s + s1
+        if self._gtaus is None:
+            # cancellation-free closed forms of the exponential tau averages;
+            # every building block below is a sum or product of same-sign terms
+            x = self._g_bar * self._g_bar
+            m_geo = s * s1                      # sqrt(n (n+1))
+            sigma2 = sigma * sigma              # = 2n + 1 + 2 m_geo
+            d2 = x / sigma2                     # (g_bar (s1 - s))^2
+            m = x * sigma2                      # (g_bar (s1 + s))^2
+            p4 = 4.0 * x * n
+            q4 = 4.0 * x * (n + 1.0)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                gap = 2.0 * n / (m_geo + n)     # 2 (m_geo - n), stable; 0/0 at n=0
+            gap = np.where(n == 0.0, 0.0, gap)
+            m_minus_p = x * (1.0 + gap)
+            m_minus_q = x * (gap - 3.0)
+            cos_comb = (
+                d2 / (1.0 + d2)
+                + 0.5 * m_minus_p / ((1.0 + p4) * (1.0 + m))
+                + 0.5 * m_minus_q / ((1.0 + q4) * (1.0 + m))
+            )
+            lead = (1.0 + (2.0 * n + 1.0) * x) / (2.0 * sigma2 * (1.0 + d2))
+            tail = -((1.0 - 2.0 * x * m_geo) * (1.0 - 4.0 * x * m_geo) / sigma2 + x) / (
+                2.0 * (1.0 + m) * (1.0 + p4) * (1.0 + q4)
+            )
+            return cos_comb, lead + tail
+        # per-node evaluation through the product identities
+        #   cos A - cos B = -2 sin((A+B)/2) sin((A-B)/2)
+        #   s1 sin A - s sin B = 2 s1 cos((A+B)/2) sin((A-B)/2) + sin(B)/sigma
+        # with A - B = g tau / sigma.
+        mid = 0.5 * np.multiply.outer(self._gtaus, sigma)
+        half_diff = 0.5 * np.multiply.outer(self._gtaus, 1.0 / sigma)
+        sin_half = np.sin(half_diff)
+        cos_diff = -2.0 * np.sin(mid) * sin_half
+        sin_diff = 2.0 * s1[None, :] * np.cos(mid) * sin_half + np.sin(np.multiply.outer(self._gtaus, s)) / sigma[None, :]
+        return (
+            np.tensordot(self._weights, cos_diff * cos_diff, axes=(0, 0)),
+            np.tensordot(self._weights, sin_diff * sin_diff, axes=(0, 0)),
+        )
 
     def one_minus_cos_diff(self, inv_sigma):
         """<1 - cos(g tau / sigma)> with 1/sigma = x - y supplied stably.
@@ -268,9 +299,23 @@ class TrigAverages:
         cancellation occurs at large photon number.
         """
         inv_sigma = np.asarray(inv_sigma, dtype=float)
-        if self.is_closed_form:
+        if self._gtaus is None:
             d = self._g_bar * inv_sigma
             return d * d / (1.0 + d * d)
         half = 0.5 * self._outer(inv_sigma)
         s = np.sin(half)
         return np.tensordot(self._weights, 2.0 * s * s, axes=(0, 0))
+
+    def jump_diagonals(self, phi) -> list[tuple[float, np.ndarray, bool]]:
+        """Pump jump operators at phi = sqrt(n+1) as ``(weight, diagonal,
+        raising)``: sqrt(r weight) diag(diagonal), preceded by adag if
+        ``raising``.  Per node a cosine operator cos(g tau_k phi) and a gain
+        operator g tau_k sinc(g tau_k phi); the closed form has no finite
+        set and raises ``ValueError``."""
+        gtaus, weights = self.point_data
+        ops = []
+        for gtau, tau, dp in zip(gtaus, self._taus, weights):
+            arg = gtau * phi
+            ops.append((dp, np.cos(arg), False))
+            ops.append((dp, np.sinc(arg / np.pi) * self._g * tau, True))
+        return ops

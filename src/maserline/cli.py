@@ -291,9 +291,13 @@ def _parse_orders(text: str) -> list[tuple[int, int]]:
         for chunk in text.split(";"):
             a, b = chunk.split(",")
             pairs.append((int(a), int(b)))
-        return pairs
     except ValueError as exc:
         raise ConfigError(f"cannot parse orders {text!r}; expected like '1,0;3,2;7,6'") from exc
+    sine_orders = [a for a, _ in pairs]
+    if len(set(sine_orders)) < len(sine_orders):
+        # each pair owns the column D_order_<sine order>
+        raise ConfigError(f"orders {text!r} repeat a sine order")
+    return pairs
 
 
 def _uniform_row(task) -> dict:
@@ -327,6 +331,8 @@ def cmd_uniform_convergence(cfg: dict) -> None:
         cfg = dict(cfg, g_tau=0.3)
     if cfg["nth"] not in (0, 0.0):
         raise ConfigError("the exponential closed forms hold at nth=0")
+    if cfg["nodes"] is not None:
+        raise ConfigError("uniform-convergence uses the closed exponential averages and takes no nodes")
     orders = _parse_orders(cfg["orders"])
     theta_bars = _scan_range(cfg, 0.2, 3.0)
     columns = ["theta_bar", "n_mean", "D_exact", "D_exp_scully"]

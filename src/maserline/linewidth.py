@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .averages import TrigAverages, quadrature_nodes, refine_until_stable
+from .averages import TrigAverages, refine_until_stable
 from .model import ExponentialTau, FixedTau, MaserParams
 from .steady import PhotonStatistics, require_excitation, steady_state
 
@@ -70,58 +70,8 @@ def pump_weights(
     if averages is None:
         averages = TrigAverages.for_params(params)
     n = np.arange(n_max + 1, dtype=float)
-    s = np.sqrt(n)
-    s1 = np.sqrt(n + 1.0)
-    sigma = s + s1
-    n_ex = params.n_ex
-    if averages.is_closed_form:
-        return _pump_weights_closed(averages.g_bar, n, s, s1, sigma, n_ex)
-    return _pump_weights_nodes(averages, n, s, s1, sigma, n_ex)
-
-
-def _pump_weights_nodes(averages, n, s, s1, sigma, n_ex):
-    # per-node evaluation through the product identities
-    #   cos A - cos B = -2 sin((A+B)/2) sin((A-B)/2)
-    #   s1 sin A - s sin B = 2 s1 cos((A+B)/2) sin((A-B)/2) + sin(B)/sigma
-    # with A = g tau sqrt(n+1), B = g tau sqrt(n); A - B = g tau / sigma.
-    gtaus, weights = averages.point_data
-    mid = 0.5 * np.multiply.outer(gtaus, sigma)
-    half_diff = 0.5 * np.multiply.outer(gtaus, 1.0 / sigma)
-    sin_half = np.sin(half_diff)
-    cos_diff = -2.0 * np.sin(mid) * sin_half
-    sin_diff = 2.0 * s1[None, :] * np.cos(mid) * sin_half + np.sin(np.multiply.outer(gtaus, s)) / sigma[None, :]
-    cos_w = n_ex * n * np.tensordot(weights, cos_diff * cos_diff, axes=(0, 0))
-    sin_w = n_ex * np.tensordot(weights, sin_diff * sin_diff, axes=(0, 0))
-    return cos_w, sin_w
-
-
-def _pump_weights_closed(g_bar, n, s, s1, sigma, n_ex):
-    # cancellation-free closed forms of the exponential tau averages of
-    # the squared trig differences; every building block below is a sum
-    # or product of same-sign terms.
-    x = g_bar * g_bar
-    m_geo = s * s1                      # sqrt(n (n+1))
-    sigma2 = sigma * sigma              # = 2n + 1 + 2 m_geo
-    d2 = x / sigma2                     # (g_bar (s1 - s))^2
-    m = x * sigma2                      # (g_bar (s1 + s))^2
-    p4 = 4.0 * x * n
-    q4 = 4.0 * x * (n + 1.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        gap = 2.0 * n / (m_geo + n)     # 2 (m_geo - n), stable; 0/0 at n=0
-    gap = np.where(n == 0.0, 0.0, gap)
-    m_minus_p = x * (1.0 + gap)
-    m_minus_q = x * (gap - 3.0)
-    cos_comb = (
-        d2 / (1.0 + d2)
-        + 0.5 * m_minus_p / ((1.0 + p4) * (1.0 + m))
-        + 0.5 * m_minus_q / ((1.0 + q4) * (1.0 + m))
-    )
-    lead = (1.0 + (2.0 * n + 1.0) * x) / (2.0 * sigma2 * (1.0 + d2))
-    tail = -((1.0 - 2.0 * x * m_geo) * (1.0 - 4.0 * x * m_geo) / sigma2 + x) / (
-        2.0 * (1.0 + m) * (1.0 + p4) * (1.0 + q4)
-    )
-    sin_comb = lead + tail
-    return n_ex * n * cos_comb, n_ex * sin_comb
+    cos_sq, sin_sq = averages.squared_differences(n)
+    return params.n_ex * n * cos_sq, params.n_ex * sin_sq
 
 
 def mcgowan_weights(
@@ -365,7 +315,12 @@ def _lowering_operator(dim: int) -> _Band:
     return _Band(1, values)
 
 
-def jump_operator_matrices(params: MaserParams, dim: int, n_nodes: int | None = None) -> list[_Band]:
+def jump_operator_matrices(
+    params: MaserParams,
+    dim: int,
+    n_nodes: int | None = None,
+    averages: TrigAverages | None = None,
+) -> list[_Band]:
     """The full jump-operator set as literal dim x dim matrices.
 
     Two thermal operators plus, for every quadrature node tau_k with
@@ -383,7 +338,9 @@ def jump_operator_matrices(params: MaserParams, dim: int, n_nodes: int | None = 
     Fixed tau and node lists need no ``n_nodes``; an exponential
     distribution has no finite operator set, so it needs an explicit
     ``n_nodes`` (the Gauss-Laguerre rule) and raises ``ValueError``
-    without one.  ``n_nodes < 1`` raises ``ValueError``.
+    without one.  ``n_nodes < 1`` raises ``ValueError``.  An ``averages``
+    family replaces the node operators by its own
+    (:meth:`TrigAverages.jump_diagonals`), e.g. the uniform approximation's.
     """
     a = _lowering_operator(dim)
     adag = a.T
@@ -392,16 +349,13 @@ def jump_operator_matrices(params: MaserParams, dim: int, n_nodes: int | None = 
     if params.n_th > 0:
         ops.append(np.sqrt(params.kappa * params.n_th) * adag)
     if params.r > 0:
-        if n_nodes is None:
-            if isinstance(params.tau_dist, ExponentialTau):
+        if averages is None:
+            if n_nodes is None and isinstance(params.tau_dist, ExponentialTau):
                 raise ValueError("an exponential distribution needs an explicit n_nodes for its jump operators")
-            n_nodes = 1
-        nodes = quadrature_nodes(params.tau_dist, n_nodes)
-        for tau, dp in zip(nodes.taus, nodes.weights):
-            amp = np.sqrt(params.r * dp)
-            arg = params.g * tau * phi
-            ops.append(amp * _Band(0, np.cos(arg)))
-            ops.append(amp * adag @ _Band(0, np.sinc(arg / np.pi) * params.g * tau))
+            averages = TrigAverages.for_params(params, n_nodes)
+        for weight, values, raising in averages.jump_diagonals(phi):
+            amp = np.sqrt(params.r * weight)
+            ops.append(amp * adag @ _Band(0, values) if raising else amp * _Band(0, values))
     return ops
 
 
@@ -434,20 +388,18 @@ def linewidth_lindblad_trace(
 
     if isinstance(params.tau_dist, ExponentialTau) and n_nodes is None:
         total = refine_until_stable(params.tau_dist, evaluate)
-    elif n_nodes is not None:
-        total = evaluate(quadrature_nodes(params.tau_dist, n_nodes))
     else:
-        total = _lindblad_trace_value(params, stats)
+        total = _lindblad_trace_value(params, stats, n_nodes)
     return float(total) / mean
 
 
-def _lindblad_trace_value(params: MaserParams, stats: PhotonStatistics) -> float:
+def _lindblad_trace_value(params: MaserParams, stats: PhotonStatistics, n_nodes: int | None = None) -> float:
     dim = stats.N + 1
     a = _lowering_operator(dim)
     adag = a.T
     a_rho = a @ _Band(0, stats.p)  # a @ diag(p)
     total = 0.0
-    for L in jump_operator_matrices(params, dim):
+    for L in jump_operator_matrices(params, dim, n_nodes):
         Ldag = L.T
         comm1 = adag @ L - L @ adag
         comm2 = Ldag @ adag - adag @ Ldag

@@ -1,4 +1,4 @@
-"""Physical parameters, interaction-time distributions and Fock diagonals.
+"""Physical parameters and interaction-time distributions.
 
 Every computation in this package consumes a single :class:`MaserParams`
 record: cavity decay rate ``kappa``, thermal occupation ``n_th``, atom
@@ -147,39 +147,3 @@ class MaserParams:
             g=self.g / k,
             tau_dist=self.tau_dist.scaled(k),
         )
-
-
-# Tags for diagonals on the truncated Fock basis.  "phi" carries the
-# eigenvalue sqrt(n+1) at index n (the operator (a a^dag)^(1/2)), "sqrt_n"
-# carries sqrt(n), and "n" the photon number itself.
-FOCK_BASIS_TAGS = ("n", "sqrt_n", "phi")
-
-
-@dataclass(frozen=True, eq=False)
-class FockDiagonal:
-    """A diagonal operator on the Fock levels 0..N, with a basis tag."""
-
-    values: np.ndarray
-    basis: str
-
-    def __post_init__(self):
-        values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("a Fock diagonal must be a non-empty 1-d sequence")
-        if self.basis not in FOCK_BASIS_TAGS:
-            raise ValueError(f"unknown basis tag {self.basis!r}, expected one of {FOCK_BASIS_TAGS}")
-
-    @property
-    def n_max(self) -> int:
-        return self.values.size - 1
-
-
-def phi_eigenvalues(n_max: int) -> FockDiagonal:
-    """Diagonal of (a a^dag)^(1/2) on levels 0..n_max: sqrt(1), ..., sqrt(n_max+1).
-
-    n_max = 0 is rejected: a single Fock level supports no dynamics.
-    """
-    if n_max < 1:
-        raise ValueError(f"basis size must be at least 1, got {n_max}")
-    return FockDiagonal(np.sqrt(np.arange(1.0, n_max + 2.0)), "phi")

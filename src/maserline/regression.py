@@ -19,19 +19,25 @@ The boundary entries follow the truncated-operator convention (operators
 are literal matrices on N+1 levels), so a single application of the
 dense brute-force superoperator in this module reproduces G exactly,
 including the last row.
+
+The anticommutator convention: the ``- r`` of the diagonal is
+-r/2 (<cos^2 + sin^2> at sqrt(n+1) + the same at sqrt(n+2)), from the
+family's ``anticommutator_norm``.  That norm is exactly 1 for node lists
+and the closed form, and below 1 for the truncated Laguerre sums of the
+uniform approximation, whose jump-operator set is truncated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .averages import TrigAverages, quadrature_nodes
+from .averages import TrigAverages
 from .errors import IntegrationError, SpectralError, VacuumStateError
 from .linewidth import jump_operator_matrices
-from .model import ExponentialTau, MaserParams
+from .model import MaserParams
 from .steady import PhotonStatistics
 
 SUM_RULE_TOL = 1e-10
@@ -114,16 +120,15 @@ def build_sideband_generator(
     diag = (
         -kappa * (1.0 + n_th) * (n + 0.5)
         - kappa * n_th * (n + 1.5)
-        - r
+        - 0.5 * r * (averages.anticommutator_norm(s1) + averages.anticommutator_norm(s2))
         + r * averages.cos_cos(s1, s2)
     )
     sup = kappa * (1.0 + n_th) * s1 * s2
     sup[-1] = 0.0
     # truncated-operator convention: the anticommutator halves living on
     # level N+1 are absent from the literal matrices
-    diag[-1] += kappa * n_th * (N + 1.0) / 2.0 + 0.5 * r * float(
-        averages.sin_sin(np.sqrt(N + 1.0), np.sqrt(N + 1.0))
-    )
+    top = np.sqrt(N + 1.0)
+    diag[-1] += kappa * n_th * (N + 1.0) / 2.0 + 0.5 * r * float(averages.sin_sin(top, top))
     return SidebandGenerator(sub, diag, sup, N, params)
 
 
@@ -381,10 +386,8 @@ class DenseLindblad:
 
     @classmethod
     def for_params(cls, params: MaserParams, dim: int, n_nodes: int = 64) -> "DenseLindblad":
-        if isinstance(params.tau_dist, ExponentialTau):
-            dist = quadrature_nodes(params.tau_dist, n_nodes)
-            params = replace(params, tau_dist=dist)
-        return cls(jump_operator_matrices(params, dim))
+        """Jump operators of ``params``; ``n_nodes`` applies to an exponential tau only."""
+        return cls(jump_operator_matrices(params, dim, n_nodes))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """d rho / dt for the full density matrix."""

@@ -26,6 +26,11 @@ ratio x/sqrt(1+x^2), so the truncated tail beyond degree K goes like
 (x^2/(1+x^2))^K ~ exp(-K/x^2): accuracy degrades once the photon
 statistics reach levels with gb^2 n proportional to the retained order,
 i.e. gb sqrt(n) grows only like the square root of the order.
+
+The truncated model differs from the exact one only in its tau averages,
+which become truncated Parseval sums: it is a family of averages
+(:class:`LaguerreAverages`) next to node lists and the closed form, served
+by the generic builders, not a separate set of builders.
 """
 
 from __future__ import annotations
@@ -34,78 +39,110 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ExponentialTau, FockDiagonal, MaserParams
-from .regression import SidebandGenerator, initial_sideband, linewidth_from_slope
-from .steady import PhotonStatistics, statistics_from_ratios, _tail_bound, auto_truncation
+from .averages import TrigAverages
+from .model import ExponentialTau, MaserParams
+from .regression import SidebandGenerator, build_sideband_generator, initial_sideband, linewidth_from_slope
+from .steady import PhotonStatistics, auto_truncation, steady_state
+
+
+def _laguerre_powers(x: np.ndarray, order: int) -> np.ndarray:
+    """Complex coefficients z_k = (-ix)^k / (1 - ix)^(k+1), k = 0..order.
+
+    Evaluated by the stable multiplicative recurrence
+    z_{k+1} = z_k * (-ix)/(1 - ix) starting from z_0 = 1/(1 - ix); the
+    ratio has modulus x/sqrt(1+x^2) < 1, so no growth occurs.
+    """
+    z = 1.0 / (1.0 - 1j * x)
+    ratio = -1j * x * z
+    out = np.empty((order + 1,) + x.shape, dtype=complex)
+    current = z
+    for k in range(order + 1):
+        out[k] = current
+        current = current * ratio
+    return out
 
 
 def laguerre_trig_coeffs(x, kind: str, order: int) -> np.ndarray:
     """Coefficients c_k(x), k = 0..order, of trig(x t) in orthonormal
     Laguerre polynomials of the unit-mean exponential measure.
 
-    Evaluated by the stable multiplicative recurrence
-    z_{k+1} = z_k * (-ix)/(1 - ix) starting from z_0 = 1/(1 - ix); the
-    ratio has modulus x/sqrt(1+x^2) < 1, so no growth occurs.  Returns an
-    array of shape (order+1,) + shape(x).
+    Returns an array of shape (order+1,) + shape(x).
     """
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
     if kind not in ("cos", "sin"):
         raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
-    x = np.asarray(x, dtype=float)
-    z = 1.0 / (1.0 - 1j * x)
-    ratio = -1j * x * z
-    out = np.empty((order + 1,) + x.shape, dtype=float)
-    part = np.real if kind == "cos" else np.imag
-    current = z
-    for k in range(order + 1):
-        out[k] = part(current)
-        current = current * ratio
-    return out
+    z = _laguerre_powers(np.asarray(x, dtype=float), order)
+    return z.real.copy() if kind == "cos" else z.imag.copy()
+
+
+class LaguerreAverages(TrigAverages):
+    """Tau averages of the uniform approximation: truncated Parseval sums.
+
+    The exponential average of trig(g tau x) trig(g tau y) becomes
+    sum_k c_k(gb x) c_k(gb y) over the Laguerre coefficients of the two
+    factors, with the cosine family kept to degree ``order_cos`` and the
+    sine family to ``order_sin``.  ``<cos^2 + sin^2>`` then falls below 1,
+    which is all that sets the generator of the truncated model apart.
+
+    ``one_minus_cos_diff`` is inherited from the closed form:
+    <cos(d t)> = <cos(d t) L_0(t)> has only its degree-0 coefficient, so
+    the truncated sum is the closed form at every order.
+    """
+
+    def __init__(self, g: float, g_bar: float, order_sin: int, order_cos: int):
+        super().__init__(g, g_bar=g_bar)
+        self.order_sin = order_sin
+        self.order_cos = order_cos
+
+    def _tables(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Cosine and sine coefficient tables [k, ...] at gb x, from one recurrence."""
+        z = _laguerre_powers(self._g_bar * np.asarray(x, dtype=float), max(self.order_sin, self.order_cos))
+        return z.real[: self.order_cos + 1], z.imag[: self.order_sin + 1]
+
+    def cos_cos(self, x, y):
+        cx = self._tables(x)[0]
+        cy = cx if y is x else self._tables(y)[0]
+        return np.sum(cx * cy, axis=0)
+
+    def sin_sin(self, x, y):
+        sx = self._tables(x)[1]
+        sy = sx if y is x else self._tables(y)[1]
+        return np.sum(sx * sy, axis=0)
+
+    def anticommutator_norm(self, s):
+        cos, sin = self._tables(s)
+        return np.sum(cos * cos, axis=0) + np.sum(sin * sin, axis=0)
+
+    def pump_gain(self, s, snap_trapping: bool = False):
+        # rational in s with no zero at s > 0: no trapping states to snap
+        s = np.asarray(s, dtype=float)
+        return self.sin_sin(s, s) / (s * s)
+
+    def squared_differences(self, n):
+        n = np.asarray(n, dtype=float)
+        s = np.sqrt(n)
+        s1 = np.sqrt(n + 1.0)
+        cos_up, sin_up = self._tables(s1)
+        cos_dn, sin_dn = self._tables(s)
+        return np.sum((cos_up - cos_dn) ** 2, axis=0), np.sum((s1 * sin_up - s * sin_dn) ** 2, axis=0)
+
+    def jump_diagonals(self, phi) -> list[tuple[float, np.ndarray, bool]]:
+        """One cosine operator per cosine degree, then one gain operator
+        adag ck_sin(gb phi)/phi per sine degree, each at weight 1."""
+        cos, sin = self._tables(phi)
+        return [(1.0, c, False) for c in cos] + [(1.0, s / phi, True) for s in sin]
 
 
 @dataclass(frozen=True, eq=False)
 class UniformLindbladSet:
-    """Truncated cosine/sine jump families on Fock levels 0..N.
-
-    ``cos_coeffs[k]``/``sin_coeffs[k]`` hold the degree-k coefficient
-    diagonals evaluated at gb*phi (phi eigenvalue sqrt(m+1) at level m).
-    """
+    """The truncated model: orders, family of averages, parameters, basis size N."""
 
     order_sin: int
     order_cos: int
-    cos_coeffs: list[FockDiagonal]
-    sin_coeffs: list[FockDiagonal]
-    tau_bar: float
+    averages: LaguerreAverages
     params: MaserParams
     N: int
-
-    def cos_table(self) -> np.ndarray:
-        """Array [k, m] of cosine-family diagonals."""
-        return np.stack([d.values for d in self.cos_coeffs])
-
-    def sin_table(self) -> np.ndarray:
-        return np.stack([d.values for d in self.sin_coeffs])
-
-    def jump_matrices(self, dim: int | None = None) -> list[np.ndarray]:
-        """Literal matrices of the truncated set, thermal operators included."""
-        dim = dim or self.N + 1
-        if dim > self.N + 1:
-            raise ValueError("coefficient tables only cover N + 1 levels")
-        p = self.params
-        a = np.zeros((dim, dim))
-        idx = np.arange(dim - 1)
-        a[idx, idx + 1] = np.sqrt(idx + 1.0)
-        phi = np.sqrt(np.arange(1.0, dim + 1.0))
-        ops = [np.sqrt(p.kappa * (1.0 + p.n_th)) * a]
-        if p.n_th > 0:
-            ops.append(np.sqrt(p.kappa * p.n_th) * a.T)
-        root_r = np.sqrt(p.r)
-        for d in self.cos_coeffs:
-            ops.append(root_r * np.diag(d.values[:dim]))
-        for d in self.sin_coeffs:
-            ops.append(root_r * a.T @ np.diag(d.values[:dim] / phi))
-        return ops
 
 
 def build_uniform_lindblad(
@@ -134,23 +171,8 @@ def build_uniform_lindblad(
         raise ValueError(f"orders must be non-negative, got {orders}")
     if N is None:
         N = auto_truncation(params)
-    x = params.g_bar * np.sqrt(np.arange(1.0, N + 2.0))
-    cos_tab = laguerre_trig_coeffs(x, "cos", order_cos)
-    sin_tab = laguerre_trig_coeffs(x, "sin", order_sin)
-    return UniformLindbladSet(
-        order_sin=order_sin,
-        order_cos=order_cos,
-        cos_coeffs=[FockDiagonal(row, "phi") for row in cos_tab],
-        sin_coeffs=[FockDiagonal(row, "phi") for row in sin_tab],
-        tau_bar=params.tau_dist.tau_bar,
-        params=params,
-        N=N,
-    )
-
-
-def uniform_gain(uset: UniformLindbladSet) -> np.ndarray:
-    """Per-atom gain sum_k ck_sin(gb sqrt(n+1))^2 at n = 0..N (units of r)."""
-    return np.sum(uset.sin_table() ** 2, axis=0)
+    averages = LaguerreAverages(params.g, params.g_bar, order_sin, order_cos)
+    return UniformLindbladSet(order_sin, order_cos, averages, params, N)
 
 
 def uniform_steady_state(uset: UniformLindbladSet) -> PhotonStatistics:
@@ -158,87 +180,21 @@ def uniform_steady_state(uset: UniformLindbladSet) -> PhotonStatistics:
 
         (1 + n_th) p_{n+1} = [ n_th + n_ex sum_k ck_sin^2 / (n+1) ] p_n
     """
-    p = uset.params
-    n = np.arange(uset.N + 1, dtype=float)
-    gain = p.n_ex * uniform_gain(uset) / (n + 1.0)
-    ratios = (p.n_th + gain) / (1.0 + p.n_th)
-    probs = statistics_from_ratios(ratios[: uset.N])
-    return PhotonStatistics(probs, uset.N, _tail_bound(probs, float(ratios[uset.N])))
+    return steady_state(uset.params, uset.N, uset.averages)
 
 
 def uniform_generator(uset: UniformLindbladSet) -> SidebandGenerator:
-    """Coherence-sector generator of the truncated model.
-
-    Same structure as the exact generator with the tau-averaged trig
-    products replaced by their truncated Parseval sums; the boundary
-    follows the shared truncated-operator convention.
-    """
-    p = uset.params
-    kappa, n_th, r = p.kappa, p.n_th, p.r
-    N = uset.N
-    n = np.arange(N, dtype=float)
-    s1 = np.sqrt(n + 1.0)
-    s2 = np.sqrt(n + 2.0)
-    # coefficient tables at phi eigenvalues sqrt(m+1), m = 0..N
-    cos_tab = uset.cos_table()
-    sin_tab = uset.sin_table()
-    # values at nhat^(1/2) eigenvalues sqrt(n), n = 0..N-1 for the gain band
-    sin_at_sqrt_n = laguerre_trig_coeffs(p.g_bar * np.sqrt(n), "sin", uset.order_sin)
-    sub = kappa * n_th * np.sqrt(n) * s1 + r * np.sum(sin_at_sqrt_n * sin_tab[:, :N], axis=0)
-    cos_here = cos_tab[:, :N]
-    cos_next = cos_tab[:, 1 : N + 1]
-    sin_here = sin_tab[:, :N]
-    sin_next = sin_tab[:, 1 : N + 1]
-    diag = (
-        -kappa * (1.0 + n_th) * (n + 0.5)
-        - kappa * n_th * (n + 1.5)
-        + r * np.sum(cos_here * cos_next - 0.5 * cos_here**2 - 0.5 * cos_next**2, axis=0)
-        - 0.5 * r * np.sum(sin_here**2 + sin_next**2, axis=0)
-    )
-    sup = kappa * (1.0 + n_th) * s1 * s2
-    sup[-1] = 0.0
-    diag[-1] += kappa * n_th * (N + 1.0) / 2.0 + 0.5 * r * float(np.sum(sin_tab[:, N] ** 2))
-    return SidebandGenerator(sub, diag, sup, N, p)
+    """Coherence-sector generator of the truncated model."""
+    return build_sideband_generator(uset.params, uset.N, uset.averages)
 
 
-def uniform_linewidth(
-    uset: UniformLindbladSet,
-    stats: PhotonStatistics | None = None,
-    use_exact_statistics: bool = False,
-) -> float:
+def uniform_linewidth(uset: UniformLindbladSet, stats: PhotonStatistics | None = None) -> float:
     """Linewidth of the truncated model from the initial-slope formula.
 
     By default the truncated model's own steady state seeds the slope;
-    ``use_exact_statistics`` substitutes the exact exponential-model
-    statistics instead (same truncation).
+    ``stats`` substitutes any other statistics on the same truncation.
     """
     if stats is None:
-        if use_exact_statistics:
-            from .steady import steady_state_exp
-
-            stats = steady_state_exp(uset.params, uset.N)
-        else:
-            stats = uniform_steady_state(uset)
+        stats = uniform_steady_state(uset)
     gen = uniform_generator(uset)
     return linewidth_from_slope(gen, initial_sideband(stats))
-
-
-def uniform_pump_weights(uset: UniformLindbladSet) -> tuple[np.ndarray, np.ndarray]:
-    """Fock-resolved (cosine, sine) linewidth weights of the truncated model.
-
-    The truncated analogue of :func:`maserline.linewidth.pump_weights`:
-    trig products are replaced by truncated Parseval sums, so comparing
-    the two locates the photon number where the approximation breaks.
-    """
-    p = uset.params
-    N = uset.N
-    n = np.arange(N + 1, dtype=float)
-    s = np.sqrt(n)
-    s1 = np.sqrt(n + 1.0)
-    cos_up = laguerre_trig_coeffs(p.g_bar * s1, "cos", uset.order_cos)
-    cos_dn = laguerre_trig_coeffs(p.g_bar * s, "cos", uset.order_cos)
-    sin_up = laguerre_trig_coeffs(p.g_bar * s1, "sin", uset.order_sin)
-    sin_dn = laguerre_trig_coeffs(p.g_bar * s, "sin", uset.order_sin)
-    cos_w = p.n_ex * n * np.sum((cos_up - cos_dn) ** 2, axis=0)
-    sin_w = p.n_ex * np.sum((s1[None, :] * sin_up - s[None, :] * sin_dn) ** 2, axis=0)
-    return cos_w, sin_w

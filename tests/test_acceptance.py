@@ -50,7 +50,6 @@ from maserline import (
     uniform_linewidth,
 )
 from maserline.linewidth import jump_operator_matrices, pump_weights
-from maserline.uniform import uniform_pump_weights
 
 R_SCAN, NTH_SCAN = 50.0, 0.01
 THETAS = np.linspace(0.1 * math.pi, 4.0 * math.pi, 30)
@@ -330,7 +329,7 @@ def test_criterion_10_breakdown_scaling():
     measured = {}
     for orders in [(1, 0), (3, 2), (7, 6)]:
         uset = build_uniform_lindblad(p, orders, N=n_levels)
-        u_cos, u_sin = uniform_pump_weights(uset)
+        u_cos, u_sin = pump_weights(p, n_levels, uset.averages)
         rel = np.abs((u_cos + u_sin) - exact) / exact
         good = np.where(rel <= 0.05)[0]
         n_star = int(good.max()) + 1 if good.size else 0

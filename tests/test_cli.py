@@ -242,6 +242,26 @@ def test_uniform_convergence_rejects_fixed(capsys):
     capsys.readouterr()
 
 
+def test_uniform_convergence_rejects_repeated_sine_order(capsys):
+    """Each order pair owns the column D_order_<sine order>; a repeat would
+    write two columns of one name."""
+    argv = ["uniform-convergence", "--dist", "exp", "--steps", "2", "--orders", "1,0;1,0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "ConfigError"
+
+
+def test_uniform_convergence_rejects_nodes(capsys):
+    """The command always uses the closed exponential averages; a node
+    count would be echoed into the config without changing a cell."""
+    argv = ["uniform-convergence", "--dist", "exp", "--steps", "2", "--nodes", "8"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "ConfigError"
+
+
 def test_kappa_units_propagate(tmp_path):
     # same dimensionless point at kappa = 2: every rate column doubles
     base_argv = ["scan-theta", "--rate", "50", "--nth", "0.01",

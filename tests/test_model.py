@@ -7,31 +7,8 @@ from maserline import (
     DiscreteTau,
     ExponentialTau,
     FixedTau,
-    FockDiagonal,
     MaserParams,
-    phi_eigenvalues,
 )
-
-
-def test_phi_eigenvalues_small_basis():
-    diag = phi_eigenvalues(2)
-    np.testing.assert_allclose(diag.values, [1.0, math.sqrt(2), math.sqrt(3)], rtol=0, atol=0)
-    assert diag.basis == "phi"
-
-
-def test_phi_eigenvalues_rejects_empty_basis():
-    with pytest.raises(ValueError):
-        phi_eigenvalues(0)
-
-
-def test_phi_eigenvalues_square_is_n_plus_one():
-    diag = phi_eigenvalues(40)
-    np.testing.assert_allclose(diag.values**2, np.arange(1, 42), rtol=1e-15)
-
-
-def test_fock_diagonal_rejects_unknown_tag():
-    with pytest.raises(ValueError):
-        FockDiagonal(np.ones(3), "momentum")
 
 
 @pytest.mark.parametrize(

@@ -10,19 +10,22 @@ from scipy.special import eval_laguerre
 from maserline import (
     DenseLindblad,
     ExponentialTau,
+    FixedTau,
     MaserParams,
+    TrigAverages,
+    build_sideband_generator,
     build_uniform_lindblad,
     exp_average_trig,
     laguerre_trig_coeffs,
     linewidth_exp_closed,
     quadrature_nodes,
+    steady_state,
     steady_state_exp,
-    uniform_gain,
     uniform_generator,
     uniform_linewidth,
-    uniform_pump_weights,
     uniform_steady_state,
 )
+from maserline.linewidth import jump_operator_matrices, pump_weights
 
 
 # -- coefficient family -------------------------------------------------------
@@ -105,8 +108,6 @@ def test_order_pairing_validation():
 
 
 def test_uniform_requires_exponential():
-    from maserline import FixedTau
-
     p = MaserParams(1.0, 0.0, 10.0, 0.3, FixedTau(1.0))
     with pytest.raises(ValueError):
         build_uniform_lindblad(p, (1, 0))
@@ -121,7 +122,8 @@ def test_gain_converges_to_exact_with_order():
     previous = None
     for order in (1, 3, 7, 15):
         uset = build_uniform_lindblad(p, (order, order - 1), N=40)
-        err = np.max(np.abs(uniform_gain(uset) - exact) / exact)
+        s1 = np.sqrt(n + 1.0)
+        err = np.max(np.abs(uset.averages.sin_sin(s1, s1) - exact) / exact)
         if previous is not None:
             assert err < previous
         previous = err
@@ -142,7 +144,7 @@ def test_truncated_statistics_positive_and_close_to_exact():
 
 def test_trace_preservation_under_truncated_set():
     uset = build_uniform_lindblad(laser(1.0), (3, 2), N=80)
-    dense = DenseLindblad(uset.jump_matrices())
+    dense = DenseLindblad(jump_operator_matrices(uset.params, uset.N + 1, averages=uset.averages))
     p0 = np.exp(-np.arange(81.0) / 6.0)
     rho0 = np.diag(p0 / p0.sum())
     states = dense.evolve(rho0, np.linspace(0.0, 10.0, 5), rtol=1e-12)
@@ -158,7 +160,7 @@ def test_uniform_slope_equals_detailed_balance_weights():
         uset = build_uniform_lindblad(p, (3, 2))
         stats = uniform_steady_state(uset)
         d_slope = uniform_linewidth(uset, stats)
-        cos_w, sin_w = uniform_pump_weights(uset)
+        cos_w, sin_w = pump_weights(p, uset.N, uset.averages)
         d_weights = (n_th + float(stats.p @ (cos_w + sin_w))) / stats.mean
         assert d_slope == pytest.approx(d_weights, rel=1e-12)
 
@@ -167,7 +169,7 @@ def test_uniform_generator_matches_dense_oracle():
     rng = np.random.default_rng(31)
     uset = build_uniform_lindblad(laser(1.0), (3, 2), N=40)
     gen = uniform_generator(uset)
-    dense = DenseLindblad(uset.jump_matrices())
+    dense = DenseLindblad(jump_operator_matrices(uset.params, uset.N + 1, averages=uset.averages))
     from maserline import embed_sideband, extract_sideband, offsector_mass
 
     v = rng.standard_normal(40)
@@ -224,7 +226,7 @@ def test_exact_statistics_flag():
     p = laser(2.0)
     uset = build_uniform_lindblad(p, (3, 2))
     self_consistent = uniform_linewidth(uset)
-    with_exact = uniform_linewidth(uset, use_exact_statistics=True)
+    with_exact = uniform_linewidth(uset, stats=steady_state_exp(p, uset.N))
     assert math.isfinite(with_exact)
     assert with_exact != self_consistent
 
@@ -235,5 +237,45 @@ def test_weak_coupling_gain_operator_reduces_to_laser_form():
     p = laser(0.5, g_bar=1e-5)
     uset = build_uniform_lindblad(p, (1, 0), N=30)
     phi = np.sqrt(np.arange(1.0, 32.0))
-    np.testing.assert_allclose(uset.sin_coeffs[0].values / (p.g_bar * phi), 1.0, rtol=1e-8)
-    np.testing.assert_allclose(uset.sin_coeffs[1].values / (p.g_bar * phi), -1.0, rtol=1e-8)
+    # row m+1 of the band sqrt(r) adag ck_sin(gb phi)/phi holds sqrt(r) ck_sin(gb phi_m),
+    # so one extra level gives the values at every phi_m
+    ops = jump_operator_matrices(p, phi.size + 1, averages=uset.averages)
+    sine = [L.values[1:] / math.sqrt(p.r) for L in ops[1:] if L.k == -1]
+    assert len(sine) == 2
+    np.testing.assert_allclose(sine[0] / (p.g_bar * phi), 1.0, rtol=1e-8)
+    np.testing.assert_allclose(sine[1] / (p.g_bar * phi), -1.0, rtol=1e-8)
+
+
+# -- the three families of tau averages ------------------------------------------
+
+
+@pytest.mark.parametrize("n_th", [0.0, 0.01])
+def test_laguerre_family_reaches_the_closed_family(n_th):
+    """Parseval limit: at order (400, 399) and g_bar sqrt(N+2) <= 2 the
+    truncated tail is below (4/5)^400 ~ 1e-39, so the Laguerre family must
+    give the closed exponential family's generator, statistics and
+    weights through the same builders."""
+    N = 40
+    p = laser(1.0, n_th=n_th)
+    assert p.g_bar * math.sqrt(N + 2) <= 2.0
+    closed = TrigAverages.for_params(p)
+    laguerre = build_uniform_lindblad(p, (400, 399), N=N, allow_any_orders=True).averages
+    gen_l = build_sideband_generator(p, N, laguerre)
+    gen_c = build_sideband_generator(p, N, closed)
+    for band in ("sub", "diag", "sup"):
+        np.testing.assert_allclose(getattr(gen_l, band), getattr(gen_c, band), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(steady_state(p, N, laguerre).p, steady_state(p, N, closed).p, rtol=1e-12, atol=0.0)
+    for w_l, w_c in zip(pump_weights(p, N, laguerre), pump_weights(p, N, closed)):
+        np.testing.assert_allclose(w_l, w_c, rtol=1e-12, atol=0.0)
+
+
+def test_anticommutator_norm_per_family():
+    """Node lists and the closed form average over a probability measure:
+    <cos^2 + sin^2> is exactly 1.  The truncated sums fall below it."""
+    s = np.sqrt(np.arange(1.0, 60.0))
+    exp = laser(1.0)
+    fixed = MaserParams(1.0, 0.01, 50.0, 0.4, FixedTau(1.0))
+    for family in (TrigAverages.for_params(exp), TrigAverages.for_params(exp, 16), TrigAverages.for_params(fixed)):
+        assert family.anticommutator_norm(s) == 1.0
+    laguerre = build_uniform_lindblad(exp, (3, 2), N=58).averages
+    assert np.all(laguerre.anticommutator_norm(s) < 1.0)

@@ -119,18 +119,20 @@ def quadrature_nodes(dist: InteractionTimeDistribution, n_nodes: int) -> Discret
 
 
 def refine_until_stable(
-    dist: InteractionTimeDistribution,
-    evaluate: Callable[[DiscreteTau], np.ndarray | float],
+    params: MaserParams,
+    evaluate: Callable[[TrigAverages], np.ndarray | float],
     rel_tol: float = 1e-8,
     start: int = 8,
     max_nodes: int = 512,
 ):
     """Node-doubling ladder: 8, 16, ..., re-evaluating until stable.
 
-    ``evaluate`` is called with successively finer discretizations until
-    two consecutive results agree to ``rel_tol`` (relative to the largest
-    magnitude).  The integrands downstream oscillate at frequencies that
-    grow with g*tau*sqrt(n), so no fixed node count is safe a priori.
+    ``evaluate`` is called with the families ``TrigAverages.for_params(params, n)``
+    of successively finer Gauss-Laguerre rules until two consecutive
+    results agree to ``rel_tol`` (relative to the largest magnitude).  The
+    integrands downstream oscillate at frequencies that grow with
+    g*tau*sqrt(n), so no fixed node count is safe a priori.  Only an
+    exponential tau has rules to refine; others raise ``ValueError``.
 
     Returns the converged value; raises :class:`QuadratureError` if the
     ladder is exhausted.
@@ -138,7 +140,7 @@ def refine_until_stable(
     previous = None
     n = start
     while n <= max_nodes:
-        value = np.asarray(evaluate(quadrature_nodes(dist, n)), dtype=float)
+        value = np.asarray(evaluate(TrigAverages.for_params(params, n)), dtype=float)
         if previous is not None and previous.shape == value.shape:
             scale = max(float(np.max(np.abs(value))), 1e-300)
             if float(np.max(np.abs(value - previous))) <= rel_tol * scale:
@@ -180,21 +182,22 @@ class TrigAverages:
 
     @classmethod
     def for_params(cls, params: MaserParams, n_nodes: int | None = None) -> "TrigAverages":
-        """Default averages for a parameter record.
+        """The family of a parameter record's distribution: the one place
+        a distribution becomes a family.
 
-        Fixed and Discrete distributions use their own nodes.  The
-        exponential distribution uses the closed forms unless ``n_nodes``
-        requests a Gauss-Laguerre discretization.
+        Fixed tau is its point mass and a node list its own nodes; neither
+        has a rule to select, so a given ``n_nodes`` raises ``ValueError``.
+        The exponential distribution is the closed form, or with
+        ``n_nodes`` the Gauss-Laguerre rule of that many nodes.
         """
         dist = params.tau_dist
-        if isinstance(dist, ExponentialTau) and n_nodes is None:
-            return cls(params.g, g_bar=params.g_bar)
+        if isinstance(dist, ExponentialTau):
+            if n_nodes is None:
+                return cls(params.g, g_bar=params.g_bar)
+        elif n_nodes is not None:
+            raise ValueError(f"{type(dist).__name__} has its own nodes; n_nodes={n_nodes} selects no rule")
         nodes = quadrature_nodes(dist, 1 if n_nodes is None else n_nodes)
         return cls(params.g, taus=nodes.taus, weights=nodes.weights)
-
-    @classmethod
-    def from_nodes(cls, g: float, nodes: DiscreteTau) -> "TrigAverages":
-        return cls(g, taus=nodes.taus, weights=nodes.weights)
 
     @property
     def point_data(self) -> tuple[np.ndarray, np.ndarray]:

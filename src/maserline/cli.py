@@ -68,6 +68,15 @@ _CONFIG_FIELDS = {
     "jobs": 1,
 }
 
+# the fields each command never reads; a value other than the default would
+# be echoed into the output config without changing a cell
+_UNREAD_FIELDS = {
+    "scan-theta": ("scan", "nodes", "orders"),
+    "fock-resolved": ("scan", "min", "max", "steps", "nodes", "orders", "jobs"),
+    "spectrum": ("scan", "min", "max", "steps", "orders", "jobs"),
+    "uniform-convergence": ("scan", "rate", "nodes"),
+}
+
 
 def _load_config(args: argparse.Namespace) -> dict:
     resolved = dict(_CONFIG_FIELDS)
@@ -86,6 +95,12 @@ def _load_config(args: argparse.Namespace) -> dict:
         if value is not None:
             resolved[key] = value
     return resolved
+
+
+def _reject_unread(command: str, cfg: dict) -> None:
+    for key in _UNREAD_FIELDS[command]:
+        if cfg[key] != _CONFIG_FIELDS[key]:
+            raise ConfigError(f"{command} does not read {key}; got {cfg[key]!r}")
 
 
 def _params_from_config(cfg: dict, g_tau: float | None = None) -> MaserParams:
@@ -209,6 +224,8 @@ def _scan_theta_row(task) -> dict:
 def cmd_scan_theta(cfg: dict) -> None:
     if cfg["dist"] != "fixed":
         raise ConfigError("scan-theta scans g*tau and needs dist='fixed'")
+    if float(cfg["rate"]) > 0 and cfg["g_tau"] is not None:
+        raise ConfigError("scan-theta sets g*tau from theta at rate > 0 and reads g_tau at rate 0 only")
     thetas = _scan_range(cfg, 0.1, 4.0)  # in units of pi
     tasks = [(cfg, t) for t in thetas]
     rows = _map_ordered(_scan_theta_row, tasks, int(cfg["jobs"]))
@@ -257,16 +274,10 @@ SPECTRUM_COLUMNS = ["section", "x", "value", "status"]
 
 def cmd_spectrum(cfg: dict) -> None:
     params = _params_from_config(cfg)
-    averages = None
-    if cfg["nodes"] is not None:
-        # statistics and generator from the same node rule: v0 must be the
-        # steady state of the generator it is evolved with
-        averages = TrigAverages.for_params(params, cfg["nodes"])
-        stats = steady_state(params, cfg["trunc"], averages)
-    elif isinstance(params.tau_dist, ExponentialTau) and params.n_th == 0.0:
-        stats = steady_state_exp(params, cfg["trunc"])
-    else:
-        stats = steady_state(params, cfg["trunc"])
+    # statistics and generator from one family: v0 must be the steady state
+    # of the generator it is evolved with
+    averages = TrigAverages.for_params(params, cfg["nodes"])
+    stats = steady_state(params, cfg["trunc"], averages)
     gen = build_sideband_generator(params, stats.N, averages)
     v0 = initial_sideband(stats)
     d_slope = linewidth_from_slope(gen, v0)
@@ -331,8 +342,6 @@ def cmd_uniform_convergence(cfg: dict) -> None:
         cfg = dict(cfg, g_tau=0.3)
     if cfg["nth"] not in (0, 0.0):
         raise ConfigError("the exponential closed forms hold at nth=0")
-    if cfg["nodes"] is not None:
-        raise ConfigError("uniform-convergence uses the closed exponential averages and takes no nodes")
     orders = _parse_orders(cfg["orders"])
     theta_bars = _scan_range(cfg, 0.2, 3.0)
     columns = ["theta_bar", "n_mean", "D_exact", "D_exp_scully"]
@@ -402,18 +411,18 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "fock-resolved":
             g_taus = args.g_tau or []
             args.g_tau = None
-            cfg = _load_config(args)
+        cfg = _load_config(args)
+        _reject_unread(args.command, cfg)
+        if args.command == "fock-resolved":
             if not g_taus and cfg["g_tau"] is not None:
                 g_taus = [float(cfg["g_tau"])]
             cmd_fock_resolved(cfg, g_taus)
-        else:
-            cfg = _load_config(args)
-            if args.command == "scan-theta":
-                cmd_scan_theta(cfg)
-            elif args.command == "spectrum":
-                cmd_spectrum(cfg)
-            elif args.command == "uniform-convergence":
-                cmd_uniform_convergence(cfg)
+        elif args.command == "scan-theta":
+            cmd_scan_theta(cfg)
+        elif args.command == "spectrum":
+            cmd_spectrum(cfg)
+        elif args.command == "uniform-convergence":
+            cmd_uniform_convergence(cfg)
     except MaserlineError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2

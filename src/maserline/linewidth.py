@@ -31,7 +31,7 @@ machine precision at photon numbers of 1e4 and beyond.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -318,29 +318,27 @@ def _lowering_operator(dim: int) -> _Band:
 def jump_operator_matrices(
     params: MaserParams,
     dim: int,
-    n_nodes: int | None = None,
     averages: TrigAverages | None = None,
 ) -> list[_Band]:
     """The full jump-operator set as literal dim x dim matrices.
 
-    Two thermal operators plus, for every quadrature node tau_k with
-    weight dp_k, a Hermitian cosine operator sqrt(r dp_k) cos(g tau_k phi)
-    and a gain operator sqrt(r dp_k) g tau_k adag sinc(g tau_k phi), where
-    phi is the diagonal sqrt(n+1).  The scalar freedom of shifting the
-    Hermitian operator by a multiple of the identity is fixed to zero; a
-    real shift provably leaves the dissipator unchanged.
+    Two thermal operators plus the pump operators of the family
+    ``averages`` (default ``TrigAverages.for_params(params)``): per node
+    tau_k with weight dp_k a Hermitian cosine operator sqrt(r dp_k)
+    cos(g tau_k phi) and a gain operator sqrt(r dp_k) g tau_k adag
+    sinc(g tau_k phi), phi the diagonal sqrt(n+1), or the uniform family's
+    Laguerre operators (:meth:`TrigAverages.jump_diagonals`).  The scalar
+    freedom of shifting the Hermitian operator by a multiple of the
+    identity is fixed to zero; a real shift provably leaves the dissipator
+    unchanged.
 
     Each operator has a single nonzero band (the diagonal or the first
     off-diagonal) and is returned as a single-band matrix that supports
     ``@``, ``-``, scalar ``*``, ``.T`` and ``.trace()`` at O(dim) cost;
     ``np.asarray(L)`` gives the dense matrix.
 
-    Fixed tau and node lists need no ``n_nodes``; an exponential
-    distribution has no finite operator set, so it needs an explicit
-    ``n_nodes`` (the Gauss-Laguerre rule) and raises ``ValueError``
-    without one.  ``n_nodes < 1`` raises ``ValueError``.  An ``averages``
-    family replaces the node operators by its own
-    (:meth:`TrigAverages.jump_diagonals`), e.g. the uniform approximation's.
+    The closed exponential form has no finite operator set and raises
+    ``ValueError``; a Gauss-Laguerre family ``for_params(params, n)`` has one.
     """
     a = _lowering_operator(dim)
     adag = a.T
@@ -350,9 +348,7 @@ def jump_operator_matrices(
         ops.append(np.sqrt(params.kappa * params.n_th) * adag)
     if params.r > 0:
         if averages is None:
-            if n_nodes is None and isinstance(params.tau_dist, ExponentialTau):
-                raise ValueError("an exponential distribution needs an explicit n_nodes for its jump operators")
-            averages = TrigAverages.for_params(params, n_nodes)
+            averages = TrigAverages.for_params(params)
         for weight, values, raising in averages.jump_diagonals(phi):
             amp = np.sqrt(params.r * weight)
             ops.append(amp * adag @ _Band(0, values) if raising else amp * _Band(0, values))
@@ -362,7 +358,7 @@ def jump_operator_matrices(
 def linewidth_lindblad_trace(
     params: MaserParams,
     stats: PhotonStatistics,
-    n_nodes: int | None = None,
+    averages: TrigAverages | None = None,
 ) -> float:
     """Linewidth from the generic jump-operator trace,
 
@@ -377,29 +373,30 @@ def linewidth_lindblad_trace(
     :func:`jump_operator_matrices`) and the trace costs O(N) per jump
     operator instead of the O(N^3) of dense products.
 
-    For the exponential distribution without an explicit ``n_nodes`` the
-    node count is doubled (8, 16, ..., 512) until the result is stable to
-    1e-8 relative.
+    The jump operators are those of the family ``averages``.  Without
+    one, an exponential tau (no finite operator set) runs the 8..512-node
+    ladder of :func:`refine_until_stable` until the result is stable to
+    1e-8 relative; fixed tau and node lists use their own nodes.
     """
     mean = require_excitation(stats)
 
-    def evaluate(nodes):
-        return _lindblad_trace_value(replace(params, tau_dist=nodes), stats)
+    def evaluate(family):
+        return _lindblad_trace_value(params, stats, family)
 
-    if isinstance(params.tau_dist, ExponentialTau) and n_nodes is None:
-        total = refine_until_stable(params.tau_dist, evaluate)
+    if averages is None and isinstance(params.tau_dist, ExponentialTau):
+        total = refine_until_stable(params, evaluate)
     else:
-        total = _lindblad_trace_value(params, stats, n_nodes)
+        total = _lindblad_trace_value(params, stats, averages)
     return float(total) / mean
 
 
-def _lindblad_trace_value(params: MaserParams, stats: PhotonStatistics, n_nodes: int | None = None) -> float:
+def _lindblad_trace_value(params: MaserParams, stats: PhotonStatistics, averages: TrigAverages | None) -> float:
     dim = stats.N + 1
     a = _lowering_operator(dim)
     adag = a.T
     a_rho = a @ _Band(0, stats.p)  # a @ diag(p)
     total = 0.0
-    for L in jump_operator_matrices(params, dim, n_nodes):
+    for L in jump_operator_matrices(params, dim, averages):
         Ldag = L.T
         comm1 = adag @ L - L @ adag
         comm2 = Ldag @ adag - adag @ Ldag

@@ -36,13 +36,13 @@ import scipy.linalg
 
 from .averages import TrigAverages
 from .errors import IntegrationError, SpectralError, VacuumStateError
-from .linewidth import jump_operator_matrices
 from .model import MaserParams
 from .steady import PhotonStatistics
 
 SUM_RULE_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
 COND_LIMIT = 1e12
+WEIGHT_FLOOR = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +57,6 @@ class SidebandGenerator:
     diag: np.ndarray
     sup: np.ndarray
     N: int
-    params: MaserParams
 
     def __post_init__(self):
         for name in ("sub", "diag", "sup"):
@@ -88,7 +87,6 @@ class SpectralDecomposition:
 
     mu: np.ndarray
     weights: np.ndarray
-    n_mean: float
 
     @property
     def linewidth(self) -> float:
@@ -129,7 +127,7 @@ def build_sideband_generator(
     # level N+1 are absent from the literal matrices
     top = np.sqrt(N + 1.0)
     diag[-1] += kappa * n_th * (N + 1.0) / 2.0 + 0.5 * r * float(averages.sin_sin(top, top))
-    return SidebandGenerator(sub, diag, sup, N, params)
+    return SidebandGenerator(sub, diag, sup, N)
 
 
 def initial_sideband(stats: PhotonStatistics) -> np.ndarray:
@@ -223,12 +221,7 @@ def _scaling_exponents(sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
     return ell - 0.5 * (ell.max() + ell.min())
 
 
-def spectral_decomposition(
-    gen: SidebandGenerator,
-    v0: np.ndarray,
-    residual_tol: float = RESIDUAL_TOL,
-    cond_limit: float = COND_LIMIT,
-) -> SpectralDecomposition:
+def spectral_decomposition(gen: SidebandGenerator, v0: np.ndarray) -> SpectralDecomposition:
     """Eigen-expansion of the correlation function.
 
     Decay rates are mu_j = -2 lambda_j; weights follow from expanding v0
@@ -268,13 +261,13 @@ def spectral_decomposition(
         scale = max(np.linalg.norm(t, np.inf), 1.0)
         residual = np.linalg.norm(t @ vecs - vecs * lam[None, :], axis=0)
         col_norm = np.linalg.norm(vecs, axis=0)
-        if np.any(residual > residual_tol * scale * col_norm):
+        if np.any(residual > RESIDUAL_TOL * scale * col_norm):
             worst = float(np.max(residual / (scale * col_norm)))
-            raise SpectralError(f"eigenpair residual {worst:.2e} exceeds {residual_tol:.0e}")
+            raise SpectralError(f"eigenpair residual {worst:.2e} exceeds {RESIDUAL_TOL:.0e}")
         cond = np.linalg.cond(vecs)
-        if not np.isfinite(cond) or cond > cond_limit:
+        if not np.isfinite(cond) or cond > COND_LIMIT:
             raise SpectralError(
-                f"eigenvector basis condition {cond:.2e} exceeds {cond_limit:.0e}; "
+                f"eigenvector basis condition {cond:.2e} exceeds {COND_LIMIT:.0e}; "
                 "the generator is defective or nearly so"
             )
         coeffs = np.linalg.solve(vecs, v0_scaled.astype(complex))
@@ -287,22 +280,18 @@ def spectral_decomposition(
             f"sum rule violated: sum g_j = {complex(total):.15g} vs g(0) = {g0:.15g}"
         )
     order = np.argsort(mu.real, kind="stable")
-    return SpectralDecomposition(mu[order], weights[order], g0)
+    return SpectralDecomposition(mu[order], weights[order])
 
 
-def spectrum_and_fwhm(
-    decomp: SpectralDecomposition,
-    omega_grid,
-    weight_floor: float = 1e-14,
-) -> tuple[np.ndarray, float]:
+def spectrum_and_fwhm(decomp: SpectralDecomposition, omega_grid) -> tuple[np.ndarray, float]:
     """One-sided spectrum S(w) = sum_j Re[g_j (mu_j/2 - i w)^(-1)] and its
     full width at half maximum (located by bisection on each flank).
 
-    Modes with negligible weight are dropped; a retained mode that does
-    not decay is rejected.
+    Modes with |g_j| below ``WEIGHT_FLOOR`` of sum_j |g_j| are dropped; a
+    retained mode that does not decay is rejected.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
-    keep = np.abs(decomp.weights) > weight_floor * np.sum(np.abs(decomp.weights))
+    keep = np.abs(decomp.weights) > WEIGHT_FLOOR * np.sum(np.abs(decomp.weights))
     mu = decomp.mu[keep]
     g = decomp.weights[keep]
     if np.any(mu.real <= 0):
@@ -383,11 +372,6 @@ class DenseLindblad:
         self.jumps = [np.asarray(L, dtype=float) for L in jumps]
         self.dim = self.jumps[0].shape[0]
         self.anticom = sum(L.T @ L for L in self.jumps)
-
-    @classmethod
-    def for_params(cls, params: MaserParams, dim: int, n_nodes: int = 64) -> "DenseLindblad":
-        """Jump operators of ``params``; ``n_nodes`` applies to an exponential tau only."""
-        return cls(jump_operator_matrices(params, dim, n_nodes))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """d rho / dt for the full density matrix."""

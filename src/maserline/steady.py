@@ -144,12 +144,6 @@ def steady_state(
     per candidate and not again here; the result is bit-identical to
     ``steady_state(params, auto_truncation(params))``.
     """
-    if params.r == 0.0 and params.n_th == 0.0:
-        # vacuum fixed point; shortcut documents intent
-        n = 1 if N is None else N
-        p = np.zeros(n + 1)
-        p[0] = 1.0
-        return PhotonStatistics(p, n, 0.0)
     if N is None and averages is None:
         N, p, edge_ratio = _truncation_search(params, _DEFAULT_HARD_LIMIT)
         return PhotonStatistics(p, N, _tail_bound(p, edge_ratio))

@@ -136,10 +136,8 @@ class LaguerreAverages(TrigAverages):
 
 @dataclass(frozen=True, eq=False)
 class UniformLindbladSet:
-    """The truncated model: orders, family of averages, parameters, basis size N."""
+    """The truncated model: family of averages, parameters, basis size N."""
 
-    order_sin: int
-    order_cos: int
     averages: LaguerreAverages
     params: MaserParams
     N: int
@@ -149,30 +147,24 @@ def build_uniform_lindblad(
     params: MaserParams,
     orders: tuple[int, int],
     N: int | None = None,
-    allow_any_orders: bool = False,
 ) -> UniformLindbladSet:
     """Assemble the truncated jump families for given (order_sin, order_cos).
 
-    The supported pairing keeps the sine family one degree ahead of the
-    cosine family with an odd sine order, e.g. (1, 0), (3, 2), (7, 6);
-    other pairings are accepted behind ``allow_any_orders`` but are not
-    exercised by the test suite.
+    The pairing keeps the sine family one degree ahead of the cosine
+    family with an odd sine order, e.g. (1, 0), (3, 2), (7, 6); any other
+    raises ``ValueError``.  Another pairing is a
+    ``LaguerreAverages(g, g_bar, order_sin, order_cos)`` family built
+    directly and passed to the generic builders.
     """
     if not isinstance(params.tau_dist, ExponentialTau):
         raise ValueError("the uniform approximation applies to exponential distributions")
     order_sin, order_cos = orders
-    if not allow_any_orders:
-        if order_sin < 1 or order_sin % 2 == 0 or order_cos != order_sin - 1:
-            raise ValueError(
-                f"orders {orders} violate the (odd sine, sine-1 cosine) pairing; "
-                "pass allow_any_orders=True to override"
-            )
-    elif order_sin < 0 or order_cos < 0:
-        raise ValueError(f"orders must be non-negative, got {orders}")
+    if order_sin < 1 or order_sin % 2 == 0 or order_cos != order_sin - 1:
+        raise ValueError(f"orders {orders} violate the (odd sine, sine-1 cosine) pairing")
     if N is None:
         N = auto_truncation(params)
     averages = LaguerreAverages(params.g, params.g_bar, order_sin, order_cos)
-    return UniformLindbladSet(order_sin, order_cos, averages, params, N)
+    return UniformLindbladSet(averages, params, N)
 
 
 def uniform_steady_state(uset: UniformLindbladSet) -> PhotonStatistics:

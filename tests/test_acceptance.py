@@ -228,10 +228,10 @@ def test_criterion_06_exponential_closed_forms():
         stats = steady_state_exp(p)
         d_closed = linewidth_exp_closed(p, stats)
 
-        def quadrature_linewidth(nodes):
-            return linewidth_components(p, stats, TrigAverages.from_nodes(p.g, nodes)).total
+        def quadrature_linewidth(family):
+            return linewidth_components(p, stats, family).total
 
-        d_quad = refine_until_stable(p.tau_dist, quadrature_linewidth)
+        d_quad = refine_until_stable(p, quadrature_linewidth)
         worst_line = max(worst_line, abs(d_quad - d_closed) / d_closed)
         quad_stats = steady_state(p, stats.N, TrigAverages.for_params(p, n_nodes=256))
         worst_stat = max(worst_stat, float(np.max(np.abs(stats.p - quad_stats.p))))

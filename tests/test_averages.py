@@ -14,6 +14,7 @@ from maserline import (
     DiscreteTau,
     ExponentialTau,
     FixedTau,
+    MaserParams,
     QuadratureError,
     TrigAverages,
     exp_average_trig,
@@ -121,8 +122,6 @@ def test_gain_reconstruction_matches_rational_form():
 
 
 def test_trig_averages_closed_vs_nodes():
-    from maserline import MaserParams
-
     p = MaserParams(kappa=1.0, n_th=0.0, r=25.0, g=0.3, tau_dist=ExponentialTau(1.0))
     closed = TrigAverages.for_params(p)
     discrete = TrigAverages.for_params(p, n_nodes=256)
@@ -135,24 +134,35 @@ def test_trig_averages_closed_vs_nodes():
     )
 
 
+@pytest.mark.parametrize(
+    "dist", [FixedTau(1.0), DiscreteTau(np.array([0.5, 1.5]), np.array([0.25, 0.75]))], ids=["fixed", "discrete"]
+)
+def test_for_params_rejects_a_node_count_that_selects_no_rule(dist):
+    """Fixed tau and a node list have their own nodes: a node count
+    selects no rule and is refused, not ignored."""
+    p = MaserParams(kappa=1.0, n_th=0.0, r=25.0, g=0.3, tau_dist=dist)
+    with pytest.raises(ValueError):
+        TrigAverages.for_params(p, 8)
+
+
 def test_refine_until_stable_converges():
-    dist = ExponentialTau(1.0)
+    params = MaserParams(kappa=1.0, n_th=0.0, r=25.0, g=0.3, tau_dist=ExponentialTau(1.0))
     s = np.sqrt(np.arange(1.0, 30.0))
 
-    def evaluate(nodes):
-        av = TrigAverages.from_nodes(0.3, nodes)
+    def evaluate(av):
         return av.pump_gain(s)
 
-    value = refine_until_stable(dist, evaluate, rel_tol=1e-10)
+    value = refine_until_stable(params, evaluate, rel_tol=1e-10)
     target = TrigAverages(0.3, g_bar=0.3).pump_gain(s)
     np.testing.assert_allclose(value, target, rtol=1e-9)
 
 
 def test_refine_until_stable_reports_exhaustion():
+    params = MaserParams(kappa=1.0, n_th=0.0, r=25.0, g=0.3, tau_dist=ExponentialTau(1.0))
     rng = np.random.default_rng(3)
 
-    def never_converges(nodes):
+    def never_converges(family):
         return rng.standard_normal()
 
     with pytest.raises(QuadratureError):
-        refine_until_stable(ExponentialTau(1.0), never_converges, rel_tol=1e-12, max_nodes=32)
+        refine_until_stable(params, never_converges, rel_tol=1e-12, max_nodes=32)

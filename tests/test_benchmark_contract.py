@@ -1,11 +1,14 @@
-"""The traced benchmark names package functions; renaming one must fail here.
+"""The benchmark names package functions and runs CLI commands; a change
+that breaks either must fail here, not only in a benchmark run.
 
 ``perfbench/tracer.py`` wraps the public functions of each layer module
 and the ``TrigAverages`` methods listed in ``TRIG_METHODS``, and
 ``perfbench/workloads.py`` lists the spans each workload must (and must
 not) produce.  A span whose function no longer exists would only show in
 a traced run, as missing coverage or as a predicted-zero span that is
-zero for the wrong reason.  Both files are read by path, never modified.
+zero for the wrong reason.  Every seed-0 operation of the three workloads
+is run once here and put through ``perfbench/gate.py``'s own checks.  The
+files are read by path, never modified.
 """
 
 import importlib
@@ -16,7 +19,9 @@ import sys
 
 import pytest
 
+import maserline
 from maserline import ExponentialTau, MaserParams, TrigAverages
+from maserline.cli import main
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -54,3 +59,22 @@ def test_closed_form_point_data_raises_value_error():
     params = MaserParams(1.0, 0.0, 50.0, 0.3, ExponentialTau(1.0))
     with pytest.raises(ValueError):
         TrigAverages.for_params(params).point_data
+
+
+GATE = _load("gate")
+OPS = [op for workload in WORKLOADS.WORKLOADS for op in WORKLOADS.build_ops(workload, 0)]
+
+
+@pytest.mark.parametrize("op", OPS, ids=[op.key for op in OPS])
+def test_benchmark_operation_runs(op, capsys):
+    """Every seed-0 operation of the benchmark runs and passes the output
+    gate's own checks, so a signature change or a new CLI refusal that
+    would fail the benchmark fails here too."""
+    if op.point is not None:
+        text = GATE.point_text(WORKLOADS.run_point(maserline, op.point))
+    else:
+        code = main(list(op.argv))
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        text = captured.out
+    assert GATE.check_output(text, op.command) == []

@@ -200,6 +200,16 @@ def test_spectrum_nodes_builds_one_consistent_model(tmp_path):
     assert meta["D_slope"] == pytest.approx(exact, rel=1e-8)
 
 
+def test_spectrum_nodes_need_an_exponential_tau(capsys):
+    """Fixed tau is one node whatever the count: --nodes selects no rule
+    there and is refused instead of echoed into the config."""
+    argv = ["spectrum", "--rate", "50", "--nth", "0.01", "--g-tau", "0.35", "--nodes", "8"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "ValueError"
+
+
 @pytest.mark.parametrize("nodes", ["0", "-2"])
 def test_spectrum_rejects_nonpositive_nodes(capsys, nodes):
     argv = ["spectrum", "--rate", "50", "--dist", "exp", "--g-tau", "0.3", "--nodes", nodes]
@@ -256,6 +266,37 @@ def test_uniform_convergence_rejects_nodes(capsys):
     """The command always uses the closed exponential averages; a node
     count would be echoed into the config without changing a cell."""
     argv = ["uniform-convergence", "--dist", "exp", "--steps", "2", "--nodes", "8"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "ConfigError"
+
+
+SCAN = ["scan-theta", "--rate", "50", "--steps", "1"]
+FOCK = ["fock-resolved", "--rate", "50", "--nth", "0.01", "--g-tau", "0.3"]
+SPECTRUM = ["spectrum", "--rate", "0", "--nth", "0.2", "--g-tau", "0.5"]
+# (id, argv, config-file fields): each sets one field its command never reads
+UNREAD_OPTIONS = [
+    ("scan-theta-nodes", SCAN + ["--nodes", "8"], {}),
+    ("scan-theta-orders", SCAN + ["--orders", "1,0"], {}),
+    ("scan-theta-g-tau-at-rate", SCAN + ["--g-tau", "0.3"], {}),
+    ("scan-theta-scan-key", SCAN, {"scan": "theta"}),
+    *[(f"fock-resolved{flag}", FOCK + [flag, value], {}) for flag, value in
+      (("--nodes", "8"), ("--orders", "1,0"), ("--min", "0.1"), ("--max", "1"), ("--steps", "3"), ("--jobs", "2"))],
+    *[(f"spectrum{flag}", SPECTRUM + [flag, value], {}) for flag, value in
+      (("--orders", "1,0"), ("--min", "0.1"), ("--max", "1"), ("--steps", "3"), ("--jobs", "2"))],
+    ("uniform-convergence-rate", ["uniform-convergence", "--dist", "exp", "--steps", "2", "--rate", "50"], {}),
+]
+
+
+@pytest.mark.parametrize("argv, config", [c[1:] for c in UNREAD_OPTIONS], ids=[c[0] for c in UNREAD_OPTIONS])
+def test_commands_reject_options_they_do_not_read(tmp_path, capsys, argv, config):
+    """A value a command never reads would be echoed into the output
+    config without changing a cell; it is refused before any output."""
+    if config:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

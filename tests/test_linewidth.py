@@ -220,7 +220,8 @@ def test_hermitian_jump_shift_leaves_linewidth_invariant(maser_params):
 # -- jump-operator trace on single-band matrices --------------------------------
 
 # (id, params, n_nodes): fixed tau, a three-node list, fixed tau at n_th > 0,
-# and exponential tau on 24 Gauss-Laguerre nodes
+# and exponential tau on 24 Gauss-Laguerre nodes; the family under test is
+# TrigAverages.for_params(params, n_nodes)
 JUMP_MODELS = [
     ("fixed", MaserParams(1.0, 0.0, 50.0, 2.5 * math.pi / math.sqrt(50.0), FixedTau(1.0)), None),
     ("three_nodes", MaserParams(1.0, 0.0, 50.0, 0.3, DiscreteTau([0.5, 1.0, 1.5], [0.25, 0.5, 0.25])), None),
@@ -268,7 +269,7 @@ def dense_trace_linewidth(jumps, stats):
 def test_band_jump_operators_are_the_literal_matrices(model):
     _, params, n_nodes = model
     dim = 30
-    band = jump_operator_matrices(params, dim, n_nodes)
+    band = jump_operator_matrices(params, dim, TrigAverages.for_params(params, n_nodes))
     dense = dense_jump_operators(params, dim, n_nodes)
     assert len(band) == len(dense)
     for L, ref in zip(band, dense):
@@ -280,9 +281,20 @@ def test_band_jump_operators_are_the_literal_matrices(model):
 @pytest.mark.parametrize("model", JUMP_MODELS, ids=[m[0] for m in JUMP_MODELS])
 def test_band_trace_matches_dense_trace(model):
     _, params, n_nodes = model
+    family = TrigAverages.for_params(params, n_nodes)
     stats = steady_state(params, 150)
-    dense = dense_trace_linewidth([np.asarray(L) for L in jump_operator_matrices(params, 151, n_nodes)], stats)
-    assert linewidth_lindblad_trace(params, stats, n_nodes) == pytest.approx(dense, rel=1e-12)
+    dense = dense_trace_linewidth([np.asarray(L) for L in jump_operator_matrices(params, 151, family)], stats)
+    assert linewidth_lindblad_trace(params, stats, family) == pytest.approx(dense, rel=1e-12)
+
+
+def test_trace_takes_a_gauss_laguerre_family():
+    """An exponential tau with a given family traces that family's
+    operators (no node ladder): equal to the dense trace over the jump
+    operators of the same 64-node rule, built entry by entry."""
+    p = MaserParams(1.0, 0.0, 50.0, 0.3, ExponentialTau(1.0))
+    stats = steady_state(p, 100)
+    dense = dense_trace_linewidth(dense_jump_operators(p, 101, 64), stats)
+    assert linewidth_lindblad_trace(p, stats, TrigAverages.for_params(p, 64)) == pytest.approx(dense, rel=1e-12)
 
 
 @pytest.mark.parametrize("r, N", [(1000.0, 4000), (5000.0, None)])
@@ -300,7 +312,7 @@ def test_trace_route_at_large_basis(maser_params, r, N):
 def test_jump_operator_matrices_rejects_zero_nodes(dist):
     p = MaserParams(1.0, 0.0, 50.0, 0.3, dist)
     with pytest.raises(ValueError):
-        jump_operator_matrices(p, 20, 0)
+        jump_operator_matrices(p, 20, TrigAverages.for_params(p, 0))
 
 
 def test_jump_operator_matrices_exponential_needs_nodes(laser_params):
@@ -309,7 +321,7 @@ def test_jump_operator_matrices_exponential_needs_nodes(laser_params):
     p = laser_params(1.0)
     with pytest.raises(ValueError):
         jump_operator_matrices(p, 20)
-    assert len(jump_operator_matrices(p, 20, 8)) == 1 + 2 * 8
+    assert len(jump_operator_matrices(p, 20, TrigAverages.for_params(p, 8))) == 1 + 2 * 8
 
 
 # -- classic formulas ----------------------------------------------------------
@@ -427,10 +439,10 @@ def test_exp_closed_matches_quadrature_averaged_route(laser_params):
     stats = steady_state_exp(p)
     d17 = linewidth_exp_closed(p, stats)
 
-    def evaluate(nodes):
-        return linewidth_components(p, stats, TrigAverages.from_nodes(p.g, nodes)).total
+    def evaluate(family):
+        return linewidth_components(p, stats, family).total
 
-    d13 = refine_until_stable(p.tau_dist, evaluate)
+    d13 = refine_until_stable(p, evaluate)
     assert abs(d13 - d17) / d17 < 1e-6
 
 

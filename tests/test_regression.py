@@ -197,10 +197,7 @@ def test_integration_failure_reports_reached_time():
     from maserline import IntegrationError
 
     # runaway growth overflows the state and stalls the stepper
-    gen = SidebandGenerator(
-        np.zeros(4), np.full(4, 1e8), np.zeros(4), 4,
-        MaserParams(1.0, 0.0, 0.0, 1.0, FixedTau(1.0)),
-    )
+    gen = SidebandGenerator(np.zeros(4), np.full(4, 1e8), np.zeros(4), 4)
     with pytest.raises(IntegrationError) as err:
         correlate(gen, np.ones(4), np.linspace(0.0, 100.0, 5))
     assert err.value.t_reached is not None
@@ -303,7 +300,6 @@ def test_defective_generator_reported():
         diag=np.array([-1.0, -1.0]),
         sup=np.array([1.0, 0.0]),
         N=2,
-        params=MaserParams(1.0, 0.0, 0.0, 1.0, FixedTau(1.0)),
     )
     with pytest.raises(SpectralError):
         spectral_decomposition(gen, np.array([1.0, 1.0]))
@@ -335,7 +331,7 @@ def test_shift_identity_on_matrices():
 
 
 def test_single_lorentzian_fwhm():
-    dec = SpectralDecomposition(np.array([0.7 + 0j]), np.array([2.5 + 0j]), 2.5)
+    dec = SpectralDecomposition(np.array([0.7 + 0j]), np.array([2.5 + 0j]))
     spectrum, fwhm = spectrum_and_fwhm(dec, np.linspace(-2.0, 2.0, 401))
     assert fwhm == pytest.approx(0.7, rel=1e-10)
     assert spectrum[200] == pytest.approx(2.5 / 0.35, rel=1e-12)  # peak 2 w / mu
@@ -346,14 +342,14 @@ def test_two_equal_weight_modes_fwhm():
     FWHM = 2 sqrt((-9/4 + sqrt(145)/4)/2) ~ 1.2332, strictly between the
     narrow width 1 and the arithmetic mean 2.5 (and far from the
     geometric mean 2)."""
-    dec = SpectralDecomposition(np.array([1.0 + 0j, 4.0 + 0j]), np.array([1.0 + 0j, 1.0 + 0j]), 2.0)
+    dec = SpectralDecomposition(np.array([1.0 + 0j, 4.0 + 0j]), np.array([1.0 + 0j, 1.0 + 0j]))
     _, fwhm = spectrum_and_fwhm(dec, np.linspace(-3.0, 3.0, 601))
     assert fwhm == pytest.approx(1.2332061017511013, rel=1e-9)
     assert 1.0 < fwhm < 2.5
 
 
 def test_non_decaying_mode_rejected():
-    dec = SpectralDecomposition(np.array([-0.1 + 0j, 1.0 + 0j]), np.array([1.0 + 0j, 1.0 + 0j]), 2.0)
+    dec = SpectralDecomposition(np.array([-0.1 + 0j, 1.0 + 0j]), np.array([1.0 + 0j, 1.0 + 0j]))
     with pytest.raises(SpectralError):
         spectrum_and_fwhm(dec, np.linspace(-2.0, 2.0, 101))
 

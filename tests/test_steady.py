@@ -29,6 +29,7 @@ from maserline import (
     steady_state,
     steady_state_exp,
 )
+from maserline.linewidth import jump_operator_matrices
 from maserline.steady import recurrence_ratios
 
 
@@ -87,7 +88,7 @@ def test_bimodal_statistics_match_dense_evolution_oracle():
     stats = steady_state(p, 400)
     assert local_maxima(stats.p) == [33, 131]
 
-    rates = DenseLindblad.for_params(p, 401).diagonal_rate_matrix()
+    rates = DenseLindblad(jump_operator_matrices(p, 401)).diagonal_rate_matrix()
     # exact fixed point of the brute-force path
     assert np.max(np.abs(rates @ stats.p)) < 1e-10 * p.kappa
     # evolve from a flat state long enough for the peaks to form
@@ -114,7 +115,7 @@ def test_detailed_balance_residual(maser_params):
 def test_diagonal_fixed_point_of_dense_master_equation(maser_params):
     p = maser_params(2.5)
     stats = steady_state(p)
-    dense = DenseLindblad.for_params(p, stats.N + 1)
+    dense = DenseLindblad(jump_operator_matrices(p, stats.N + 1))
     rho_dot = dense.apply(np.diag(stats.p))
     assert np.max(np.abs(np.diagonal(rho_dot))) < 1e-10 * p.kappa
     off = rho_dot - np.diag(np.diagonal(rho_dot))
@@ -131,7 +132,8 @@ def test_exponential_closed_form_matches_quadrature(laser_params):
 def test_exponential_statistics_are_dense_fixed_point(laser_params):
     p = laser_params(2.0)
     stats = steady_state_exp(p)
-    rates = DenseLindblad.for_params(p, stats.N + 1, n_nodes=128).diagonal_rate_matrix()
+    jumps = jump_operator_matrices(p, stats.N + 1, TrigAverages.for_params(p, 128))
+    rates = DenseLindblad(jumps).diagonal_rate_matrix()
     assert np.max(np.abs(rates @ stats.p)) < 1e-10 * p.kappa
 
 

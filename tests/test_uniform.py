@@ -11,6 +11,7 @@ from maserline import (
     DenseLindblad,
     ExponentialTau,
     FixedTau,
+    LaguerreAverages,
     MaserParams,
     TrigAverages,
     build_sideband_generator,
@@ -103,8 +104,6 @@ def test_order_pairing_validation():
         build_uniform_lindblad(p, (2, 1))
     with pytest.raises(ValueError):
         build_uniform_lindblad(p, (3, 3))
-    uset = build_uniform_lindblad(p, (2, 5), allow_any_orders=True)
-    assert uset.order_sin == 2 and uset.order_cos == 5
 
 
 def test_uniform_requires_exponential():
@@ -259,7 +258,7 @@ def test_laguerre_family_reaches_the_closed_family(n_th):
     p = laser(1.0, n_th=n_th)
     assert p.g_bar * math.sqrt(N + 2) <= 2.0
     closed = TrigAverages.for_params(p)
-    laguerre = build_uniform_lindblad(p, (400, 399), N=N, allow_any_orders=True).averages
+    laguerre = LaguerreAverages(p.g, p.g_bar, 400, 399)
     gen_l = build_sideband_generator(p, N, laguerre)
     gen_c = build_sideband_generator(p, N, closed)
     for band in ("sub", "diag", "sup"):

@@ -56,7 +56,6 @@ from .steady import (
     PhotonStatistics,
     auto_truncation,
     steady_state,
-    steady_state_exp,
 )
 from .uniform import (
     LaguerreAverages,
@@ -116,7 +115,6 @@ __all__ = [
     "spectral_decomposition",
     "spectrum_and_fwhm",
     "steady_state",
-    "steady_state_exp",
     "uniform_generator",
     "uniform_linewidth",
     "uniform_steady_state",

@@ -98,8 +98,10 @@ def _gauss_laguerre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def quadrature_nodes(dist: InteractionTimeDistribution, n_nodes: int) -> DiscreteTau:
     """Discretize an interaction-time distribution into quadrature nodes.
 
-    * Fixed tau maps to a single node with unit weight (any ``n_nodes``).
+    * Fixed tau maps to a single node with unit weight.
     * Discrete node lists pass through unchanged.
+    * Neither has a rule to select: ``n_nodes`` other than 1 raises
+      ``ValueError``.
     * Exponential maps to the ``n_nodes``-point Gauss-Laguerre rule scaled
       by the mean, exact for polynomials up to degree ``2 n_nodes - 1``
       against the density ``exp(-tau/tau_bar)/tau_bar``.  Nodes whose
@@ -107,6 +109,8 @@ def quadrature_nodes(dist: InteractionTimeDistribution, n_nodes: int) -> Discret
     """
     if n_nodes < 1:
         raise ValueError(f"need at least one node, got {n_nodes}")
+    if isinstance(dist, (FixedTau, DiscreteTau)) and n_nodes != 1:
+        raise ValueError(f"{type(dist).__name__} has its own nodes; n_nodes={n_nodes} selects no rule")
     if isinstance(dist, FixedTau):
         return DiscreteTau(np.array([dist.tau]), np.array([1.0]))
     if isinstance(dist, DiscreteTau):

@@ -45,8 +45,8 @@ from .regression import (
     spectral_decomposition,
     spectrum_and_fwhm,
 )
-from .steady import steady_state, steady_state_exp
-from .uniform import build_uniform_lindblad, uniform_linewidth, uniform_steady_state
+from .steady import steady_state
+from .uniform import build_uniform_lindblad, uniform_linewidth
 
 THRESHOLD_THETA_BAR = 1.0 / math.sqrt(2.0)
 
@@ -94,6 +94,12 @@ def _load_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             resolved[key] = value
+    # every rate is divided by kappa; check it before any arithmetic
+    if not 0.0 < float(resolved["kappa"]) < math.inf:
+        raise ConfigError(f"kappa must be positive and finite, got {resolved['kappa']!r}")
+    if args.command == "uniform-convergence" and resolved["g_tau"] == 0:
+        # the scan sets the rate to (theta_bar / g_tau)^2 kappa
+        raise ConfigError("uniform-convergence needs g_tau != 0")
     return resolved
 
 
@@ -321,7 +327,7 @@ def _uniform_row(task) -> dict:
         "theta_bar": theta_bar,
         "status": "ok" if theta_bar >= THRESHOLD_THETA_BAR else "below-threshold",
     }
-    stats = steady_state_exp(params, cfg["trunc"])
+    stats = steady_state(params, cfg["trunc"])
     row["n_mean"] = stats.mean
     try:
         row["D_exact"] = linewidth_exp_closed(params, stats)
@@ -331,7 +337,7 @@ def _uniform_row(task) -> dict:
         return row
     for order_pair in orders:
         uset = build_uniform_lindblad(params, order_pair, N=stats.N)
-        row[f"D_order_{order_pair[0]}"] = uniform_linewidth(uset, uniform_steady_state(uset))
+        row[f"D_order_{order_pair[0]}"] = uniform_linewidth(uset)
     return row
 
 
@@ -356,7 +362,8 @@ def _map_ordered(fn, tasks, jobs: int) -> list:
     """Rows computed (possibly in parallel) and returned in scan order."""
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the executor forks all max_workers processes on the first submit
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 
 

@@ -26,7 +26,7 @@ from .model import ExponentialTau, MaserParams
 TAIL_TOL = 1e-12
 NORMALIZATION_TOL = 1e-12
 # largest basis the truncation search may choose
-_DEFAULT_HARD_LIMIT = 20000
+HARD_LIMIT = 20000
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,17 +138,16 @@ def steady_state(
     fixed Gauss-Laguerre discretization), otherwise the distribution's
     default: exact point mass, node list, or the closed exponential form.
 
-    Without ``N`` and ``averages`` the truncation search of
-    :func:`auto_truncation` runs once and its accepted candidate already
-    holds p and the ratio at the edge, so the recurrence is evaluated once
-    per candidate and not again here; the result is bit-identical to
-    ``steady_state(params, auto_truncation(params))``.
+    Without ``N`` this is :func:`auto_truncation`, whose accepted candidate
+    already holds p.  With ``averages`` and no ``N``, the truncation is the
+    one that search picks with the default averages, and the recurrence is
+    evaluated again with ``averages`` on it.
     """
-    if N is None and averages is None:
-        N, p, edge_ratio = _truncation_search(params, _DEFAULT_HARD_LIMIT)
-        return PhotonStatistics(p, N, _tail_bound(p, edge_ratio))
     if N is None:
-        N = auto_truncation(params)
+        stats = auto_truncation(params)
+        if averages is None:
+            return stats
+        N = stats.N
     if N < 1:
         raise ValueError(f"truncation must be at least 1, got {N}")
     ratios = recurrence_ratios(params, N + 1, averages)
@@ -156,43 +155,18 @@ def steady_state(
     return PhotonStatistics(p, N, _tail_bound(p, float(ratios[N])))
 
 
-def steady_state_exp(params: MaserParams, N: int | None = None) -> PhotonStatistics:
-    """Closed-form statistics for the exponential distribution at n_th = 0:
+def auto_truncation(params: MaserParams) -> PhotonStatistics:
+    """Statistics on a truncation N with the recurrence contracting on
+    N/4 <= n < N and an adequately small tail, from default averages.
 
-        p_{n+1} = 2 theta_bar^2 / (1 + 4 g_bar^2 (n+1)) p_n
+    Candidates double on failure up to :data:`HARD_LIMIT` levels.  The
+    recurrence is evaluated on N + 1 links per candidate, so the accepted
+    one already holds p and the ratio at the edge for the tail bound.
     """
-    if not isinstance(params.tau_dist, ExponentialTau):
-        raise ValueError("steady_state_exp requires an exponential interaction-time distribution")
-    if params.n_th != 0.0:
-        raise ValueError("the closed-form recurrence holds for n_th = 0 only")
-    if params.r == 0.0:
-        return steady_state(params, N)
-    if N is None:
-        N = auto_truncation(params)
-    n = np.arange(N + 1, dtype=float)
-    ratios = 2.0 * params.theta_bar**2 / (1.0 + 4.0 * params.g_bar**2 * (n + 1.0))
-    p = statistics_from_ratios(ratios[:N])
-    return PhotonStatistics(p, N, _tail_bound(p, float(ratios[N])))
-
-
-def auto_truncation(params: MaserParams, hard_limit: int = _DEFAULT_HARD_LIMIT) -> int:
-    """Pick a truncation N with the recurrence contracting on N/4 <= n < N
-    and an adequately small tail; doubles on failure up to ``hard_limit``.
-
-    The search evaluates the recurrence on N + 1 links per candidate, so
-    :func:`steady_state` takes p and the edge ratio from the accepted
-    candidate instead of evaluating it again.
-    """
-    return _truncation_search(params, hard_limit)[0]
-
-
-def _truncation_search(params: MaserParams, hard_limit: int) -> tuple[int, np.ndarray, float]:
-    """The truncation N of :func:`auto_truncation`, with p on 0..N and the
-    recurrence ratio p_{N+1}/p_N at the edge, both from default averages."""
     n_ex = params.n_ex
     if params.r == 0.0:
         if params.n_th == 0.0:
-            return 1, np.array([1.0, 0.0]), 0.0
+            return PhotonStatistics(np.array([1.0, 0.0]), 1, 0.0)
         # thermal geometric tail: ratio q = n_th/(1+n_th) forever
         q = params.n_th / (1.0 + params.n_th)
         needed = math.ceil(-12.0 * math.log(10.0) / math.log(q)) if q > 0 else 1
@@ -205,16 +179,16 @@ def _truncation_search(params: MaserParams, hard_limit: int) -> tuple[int, np.nd
         candidate = math.ceil(4.0 * max(50.0, n_ex))
 
     while True:
-        if candidate > hard_limit:
+        if candidate > HARD_LIMIT:
             raise ResourceLimitError(
-                f"adequate truncation exceeds the hard limit of {hard_limit} levels"
+                f"adequate truncation exceeds the hard limit of {HARD_LIMIT} levels"
             )
         ratios = recurrence_ratios(params, candidate + 1, None)
         if np.all(ratios[candidate // 4 : candidate] < 1.0):
             p = statistics_from_ratios(ratios[:candidate])
             top = p[-1]
             if top == 0.0 or top <= TAIL_TOL * p.max():
-                return candidate, p, float(ratios[candidate])
+                return PhotonStatistics(p, candidate, _tail_bound(p, float(ratios[candidate])))
         candidate *= 2
 
 

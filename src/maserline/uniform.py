@@ -154,7 +154,8 @@ def build_uniform_lindblad(
     family with an odd sine order, e.g. (1, 0), (3, 2), (7, 6); any other
     raises ``ValueError``.  Another pairing is a
     ``LaguerreAverages(g, g_bar, order_sin, order_cos)`` family built
-    directly and passed to the generic builders.
+    directly and passed to the generic builders.  Without ``N`` the basis
+    is the truncation :func:`auto_truncation` accepts for the exact model.
     """
     if not isinstance(params.tau_dist, ExponentialTau):
         raise ValueError("the uniform approximation applies to exponential distributions")
@@ -162,7 +163,7 @@ def build_uniform_lindblad(
     if order_sin < 1 or order_sin % 2 == 0 or order_cos != order_sin - 1:
         raise ValueError(f"orders {orders} violate the (odd sine, sine-1 cosine) pairing")
     if N is None:
-        N = auto_truncation(params)
+        N = auto_truncation(params).N
     averages = LaguerreAverages(params.g, params.g_bar, order_sin, order_cos)
     return UniformLindbladSet(averages, params, N)
 

@@ -46,7 +46,6 @@ from maserline import (
     refine_until_stable,
     spectral_decomposition,
     steady_state,
-    steady_state_exp,
     uniform_linewidth,
 )
 from maserline.linewidth import jump_operator_matrices, pump_weights
@@ -225,7 +224,7 @@ def test_criterion_06_exponential_closed_forms():
     worst_stat = 0.0
     for theta_bar in (0.5, 1.0, 2.0, 3.0):
         p = laser(theta_bar)
-        stats = steady_state_exp(p)
+        stats = steady_state(p)
         d_closed = linewidth_exp_closed(p, stats)
 
         def quadrature_linewidth(family):
@@ -293,7 +292,7 @@ def test_criterion_10_uniform_convergence():
         errs = []
         for theta_bar in theta_bars:
             p = laser(theta_bar)
-            stats = steady_state_exp(p)
+            stats = steady_state(p)
             d_exact = linewidth_exp_closed(p, stats)
             uset = build_uniform_lindblad(p, orders, N=stats.N)
             err = abs(uniform_linewidth(uset) - d_exact) / d_exact

@@ -68,7 +68,7 @@ def test_non_finite_arguments_rejected():
 
 
 def test_fixed_tau_maps_to_point_mass():
-    nodes = quadrature_nodes(FixedTau(0.1), 17)
+    nodes = quadrature_nodes(FixedTau(0.1), 1)
     np.testing.assert_array_equal(nodes.taus, [0.1])
     np.testing.assert_array_equal(nodes.weights, [1.0])
 
@@ -81,7 +81,17 @@ def test_one_node_rule_is_the_mean():
 
 def test_discrete_passthrough():
     d = DiscreteTau(np.array([0.5, 1.5]), np.array([0.25, 0.75]))
-    assert quadrature_nodes(d, 99) is d
+    assert quadrature_nodes(d, 1) is d
+
+
+@pytest.mark.parametrize(
+    "dist, n_nodes",
+    [(FixedTau(0.1), 17), (DiscreteTau(np.array([0.5, 1.5]), np.array([0.25, 0.75])), 99)],
+    ids=["fixed", "discrete"],
+)
+def test_quadrature_nodes_rejects_a_node_count_that_selects_no_rule(dist, n_nodes):
+    with pytest.raises(ValueError, match="selects no rule"):
+        quadrature_nodes(dist, n_nodes)
 
 
 def test_gauss_laguerre_moments():

@@ -20,8 +20,8 @@ import sys
 import pytest
 
 import maserline
+import maserline.cli
 from maserline import ExponentialTau, MaserParams, TrigAverages
-from maserline.cli import main
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -54,6 +54,13 @@ def test_span_resolves_to_a_traced_function(span):
     assert not attr.startswith("_") or span in TRACER.PRIVATE_SPANS
 
 
+def test_trig_methods_name_family_methods():
+    # the tracer skips a listed name with no method, so a renamed method would
+    # silently drop out of the averages.trig span; sin_cos alone has none
+    missing = {method for method in TRACER.TRIG_METHODS if method not in vars(TrigAverages)}
+    assert missing <= {"sin_cos"}
+
+
 def test_closed_form_point_data_raises_value_error():
     # the tracer's count of trig evaluations catches exactly this error
     params = MaserParams(1.0, 0.0, 50.0, 0.3, ExponentialTau(1.0))
@@ -65,16 +72,36 @@ GATE = _load("gate")
 OPS = [op for workload in WORKLOADS.WORKLOADS for op in WORKLOADS.build_ops(workload, 0)]
 
 
+def _op_text(op, capsys):
+    if op.point is not None:
+        return GATE.point_text(WORKLOADS.run_point(maserline, op.point))
+    # looked up on the module, so a traced run sees the wrapped function
+    code = maserline.cli.main(list(op.argv))
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    return captured.out
+
+
 @pytest.mark.parametrize("op", OPS, ids=[op.key for op in OPS])
 def test_benchmark_operation_runs(op, capsys):
     """Every seed-0 operation of the benchmark runs and passes the output
     gate's own checks, so a signature change or a new CLI refusal that
     would fail the benchmark fails here too."""
-    if op.point is not None:
-        text = GATE.point_text(WORKLOADS.run_point(maserline, op.point))
-    else:
-        code = main(list(op.argv))
-        captured = capsys.readouterr()
-        assert code == 0, captured.err
-        text = captured.out
-    assert GATE.check_output(text, op.command) == []
+    assert GATE.check_output(_op_text(op, capsys), op.command) == []
+
+
+@pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
+def test_traced_workload_spans(workload, capsys):
+    """The seed-0 operations of each workload produce every span the
+    benchmark expects and none it predicts to be zero, as the traced
+    benchmark run checks."""
+    spans = TRACER.Tracer()
+    spans.install()
+    try:
+        for op in WORKLOADS.build_ops(workload, 0):
+            _op_text(op, capsys)
+    finally:
+        spans.uninstall()
+    seen = spans.spans()
+    assert set(WORKLOADS.EXPECTED_SPANS[workload]) <= seen
+    assert not seen & set(WORKLOADS.PREDICTED_ZERO[workload])

@@ -2,9 +2,11 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
+import maserline.cli
 from maserline import (
     ExponentialTau,
     MaserParams,
@@ -303,6 +305,36 @@ def test_commands_reject_options_they_do_not_read(tmp_path, capsys, argv, config
     assert json.loads(captured.err.strip())["error"] == "ConfigError"
 
 
+KAPPA_COMMANDS = {
+    "scan-theta": ["scan-theta", "--rate", "50", "--steps", "1"],
+    "fock-resolved": ["fock-resolved", "--rate", "50", "--g-tau", "0.3"],
+    "spectrum": ["spectrum", "--rate", "50", "--g-tau", "0.5"],
+    "uniform-convergence": ["uniform-convergence", "--dist", "exp", "--steps", "2"],
+}
+
+
+@pytest.mark.parametrize("kappa", ["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize("command", KAPPA_COMMANDS)
+def test_commands_reject_a_bad_kappa(capsys, command, kappa):
+    """Every rate is divided by kappa; a bad one is a typed config error
+    before any arithmetic, not a ZeroDivisionError traceback."""
+    assert main(KAPPA_COMMANDS[command] + [f"--kappa={kappa}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.strip())
+    assert err["error"] == "ConfigError"
+    assert "kappa" in err["message"]
+
+
+def test_uniform_convergence_rejects_zero_g_tau(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["uniform-convergence", "--dist", "exp", "--steps", "2", "--g-tau", "0"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError"
+    assert "g_tau" in err["message"]
+
+
 def test_kappa_units_propagate(tmp_path):
     # same dimensionless point at kappa = 2: every rate column doubles
     base_argv = ["scan-theta", "--rate", "50", "--nth", "0.01",
@@ -354,6 +386,30 @@ def test_parallel_rows_match_serial(tmp_path):
         serial_meta, _, serial_rows = read_csv(serial)
         parallel_meta, _, parallel_rows = read_csv(parallel)
         assert serial_rows == parallel_rows
+
+
+def test_parallel_rows_start_no_more_workers_than_rows(monkeypatch, capsys):
+    """The executor forks every worker on its first submit, so --jobs above
+    the row count asks for one worker per row."""
+    requested = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(maserline.cli, "ProcessPoolExecutor", SerialExecutor)
+    assert main(["scan-theta", "--rate", "50", "--steps", "3", "--jobs", "64"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2 + 3
+    assert requested == [3]
 
 
 def test_stdout_default(capsys):

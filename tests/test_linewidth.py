@@ -29,7 +29,6 @@ from maserline import (
     refine_until_stable,
     schawlow_townes_ratio,
     steady_state,
-    steady_state_exp,
 )
 from maserline.linewidth import jump_operator_matrices, mcgowan_weights, pump_weights
 
@@ -159,7 +158,7 @@ def test_route_equivalence_exponential_closed_forms(laser_params):
     # and the generator
     for theta_bar in np.linspace(0.3, 3.0, 30):
         p = laser_params(theta_bar)
-        stats = steady_state_exp(p)
+        stats = steady_state(p)
         d13 = linewidth_components(p, stats).total
         gen = build_sideband_generator(p, stats.N)
         d_slope = linewidth_from_slope(gen, initial_sideband(stats))
@@ -352,7 +351,7 @@ def test_scully_literal_form_flag():
 def test_scully_requires_fixed_tau(laser_params):
     p = laser_params(1.0)
     with pytest.raises(ValueError):
-        linewidth_scully(p, steady_state_exp(p))
+        linewidth_scully(p, steady_state(p))
 
 
 def test_scully_and_mcgowan_practically_coincide(maser_params):
@@ -430,13 +429,13 @@ def test_exp_closed_weak_pump_limit(laser_params):
     # the summand tends to 1 for g_bar -> 0, so D -> kappa in the
     # weak-pump limit (D <n> = 2 theta_bar^2 <summand> and <n> -> 2 theta_bar^2)
     p = laser_params(0.01, g_bar=0.01)
-    stats = steady_state_exp(p)
+    stats = steady_state(p)
     assert linewidth_exp_closed(p, stats) == pytest.approx(1.0, rel=1e-3)
 
 
 def test_exp_closed_matches_quadrature_averaged_route(laser_params):
     p = laser_params(2.0)
-    stats = steady_state_exp(p)
+    stats = steady_state(p)
     d17 = linewidth_exp_closed(p, stats)
 
     def evaluate(family):
@@ -465,11 +464,11 @@ def test_exp_scully_agreement_above_threshold(laser_params):
     # oracle-pinned: 2% at theta_bar = 2, 0.1% at 3; >20% far below threshold
     for theta_bar in (2.0, 3.0):
         p = laser_params(theta_bar)
-        stats = steady_state_exp(p)
+        stats = steady_state(p)
         d17 = linewidth_exp_closed(p, stats)
         assert abs(linewidth_exp_scully(p, stats) - d17) / d17 < 0.20
     p = laser_params(0.2)
-    stats = steady_state_exp(p)
+    stats = steady_state(p)
     d17 = linewidth_exp_closed(p, stats)
     assert abs(linewidth_exp_scully(p, stats) - d17) / d17 > 0.20
 

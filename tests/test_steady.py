@@ -27,7 +27,6 @@ from maserline import (
     linewidth_scully,
     schawlow_townes_ratio,
     steady_state,
-    steady_state_exp,
 )
 from maserline.linewidth import jump_operator_matrices
 from maserline.steady import recurrence_ratios
@@ -124,14 +123,14 @@ def test_diagonal_fixed_point_of_dense_master_equation(maser_params):
 
 def test_exponential_closed_form_matches_quadrature(laser_params):
     p = laser_params(2.0)
-    closed = steady_state_exp(p)
+    closed = steady_state(p)
     quad = steady_state(p, closed.N, TrigAverages.for_params(p, n_nodes=256))
     np.testing.assert_allclose(closed.p, quad.p, rtol=0, atol=1e-10)
 
 
 def test_exponential_statistics_are_dense_fixed_point(laser_params):
     p = laser_params(2.0)
-    stats = steady_state_exp(p)
+    stats = steady_state(p)
     jumps = jump_operator_matrices(p, stats.N + 1, TrigAverages.for_params(p, 128))
     rates = DenseLindblad(jumps).diagonal_rate_matrix()
     assert np.max(np.abs(rates @ stats.p)) < 1e-10 * p.kappa
@@ -139,7 +138,7 @@ def test_exponential_statistics_are_dense_fixed_point(laser_params):
 
 def test_exponential_ratio_contracts_beyond_crossing(laser_params):
     p = laser_params(2.0)  # g_bar = 0.3, theta_bar = 2
-    stats = steady_state_exp(p)
+    stats = steady_state(p)
     crossing = (2.0 * p.theta_bar**2 - 1.0) / (4.0 * p.g_bar**2)
     ratios = stats.p[1:] / np.where(stats.p[:-1] > 0, stats.p[:-1], 1.0)
     n = np.arange(stats.N)
@@ -147,42 +146,50 @@ def test_exponential_ratio_contracts_beyond_crossing(laser_params):
     assert np.all(ratios[beyond] < 1.0)
 
 
-def test_exponential_requires_nth_zero(laser_params):
-    import dataclasses
-
-    p = dataclasses.replace(laser_params(1.0), n_th=0.2)
-    with pytest.raises(ValueError):
-        steady_state_exp(p)
-    with pytest.raises(ValueError):
-        steady_state_exp(MaserParams(1.0, 0.0, 1.0, 0.3, FixedTau(1.0)))
+@pytest.mark.parametrize("theta_bar, g_bar", [(0.5, 0.3), (2.0, 0.3), (3.0, 0.1), (1.5, 1.0)])
+def test_exponential_closed_ratio(laser_params, theta_bar, g_bar):
+    """At n_th = 0 the exponential average closes the recurrence:
+    p_{n+1} / p_n = 2 theta_bar^2 / (1 + 4 g_bar^2 (n+1))."""
+    p = laser_params(theta_bar, g_bar=g_bar)
+    stats = steady_state(p)
+    n = np.arange(stats.N, dtype=float)
+    closed = 2.0 * p.theta_bar**2 / (1.0 + 4.0 * p.g_bar**2 * (n + 1.0))
+    # both levels normal floats: a subnormal p_n keeps too few bits for the ratio
+    normal = stats.p >= np.finfo(float).tiny
+    both = normal[:-1] & normal[1:]
+    assert both.sum() > 10
+    ratio = stats.p[1:][both] / stats.p[:-1][both]
+    # p_n = exp(log p_n) carries about eps |log p_n| of rounding: 1.6e-13 near underflow
+    tol = np.maximum(1e-13, 4.0 * np.finfo(float).eps * np.abs(np.log(stats.p[1:][both])))
+    assert np.all(np.abs(ratio / closed[both] - 1.0) <= tol)
 
 
 def test_exponential_zero_pump_is_vacuum():
     p = MaserParams(kappa=1.0, n_th=0.0, r=0.0, g=0.3, tau_dist=ExponentialTau(1.0))
-    stats = steady_state_exp(p, 4)
+    stats = steady_state(p, 4)
     np.testing.assert_array_equal(stats.p, [1, 0, 0, 0, 0])
 
 
 def test_auto_truncation_thermal():
     p = MaserParams(kappa=1.0, n_th=0.1, r=0.0, g=1.0, tau_dist=FixedTau(1.0))
-    assert auto_truncation(p) >= 50
+    assert auto_truncation(p).N >= 50
 
 
 def test_auto_truncation_exponential(laser_params):
     p = laser_params(3.0)  # (2*9-1)/(4*0.09) = 47.2
-    assert auto_truncation(p) >= 4 * math.ceil((2.0 * 9.0 - 1.0) / (4.0 * 0.09)) - 8
-    assert auto_truncation(p) >= 189
+    assert auto_truncation(p).N >= 4 * math.ceil((2.0 * 9.0 - 1.0) / (4.0 * 0.09)) - 8
+    assert auto_truncation(p).N >= 189
 
 
 def test_auto_truncation_hard_limit():
     p = MaserParams(kappa=1.0, n_th=0.0, r=1e8, g=1e-4, tau_dist=FixedTau(1.0))
     with pytest.raises(ResourceLimitError):
-        auto_truncation(p, hard_limit=1000)
+        auto_truncation(p)
 
 
 def test_recurrence_ratio_contract(maser_params):
     p = maser_params(2.0)
-    n_auto = auto_truncation(p)
+    n_auto = auto_truncation(p).N
     ratios = recurrence_ratios(p, n_auto)
     assert np.all(ratios[n_auto // 4 :] < 1.0)
 
@@ -226,10 +233,14 @@ SEARCH_CASES = {
 
 @pytest.mark.parametrize("params", SEARCH_CASES.values(), ids=SEARCH_CASES.keys())
 def test_steady_state_takes_the_search_result(params):
-    """steady_state(params) reuses p and the edge ratio of the accepted
-    truncation candidate: the same bits as solving again at that N."""
+    """steady_state(params) is the statistics the truncation search accepts,
+    and they are the same bits as solving again at that N."""
     stats = steady_state(params)
-    reference = steady_state(params, auto_truncation(params))
+    searched = auto_truncation(params)
+    assert searched.N == stats.N
+    assert np.array_equal(searched.p, stats.p)
+    assert searched.tail_mass_bound == stats.tail_mass_bound
+    reference = steady_state(params, searched.N)
     assert stats.N == reference.N
     assert np.array_equal(stats.p, reference.p)
     assert stats.tail_mass_bound == reference.tail_mass_bound

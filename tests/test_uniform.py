@@ -21,7 +21,6 @@ from maserline import (
     linewidth_exp_closed,
     quadrature_nodes,
     steady_state,
-    steady_state_exp,
     uniform_generator,
     uniform_linewidth,
     uniform_steady_state,
@@ -134,7 +133,7 @@ def test_truncated_statistics_positive_and_close_to_exact():
     # 2% up to theta_bar = 1.6, 5% up to 2.0
     for theta_bar, tol in ((0.8, 0.02), (1.2, 0.02), (1.6, 0.02), (2.0, 0.05)):
         p = laser(theta_bar)
-        exact = steady_state_exp(p)
+        exact = steady_state(p)
         uset = build_uniform_lindblad(p, (7, 6), N=exact.N)
         stats = uniform_steady_state(uset)
         assert np.all(stats.p >= 0.0)
@@ -179,7 +178,7 @@ def test_uniform_generator_matches_dense_oracle():
 
 def test_linewidth_error_shrinks_with_order_at_strong_pump():
     p = laser(3.0)
-    exact_stats = steady_state_exp(p)
+    exact_stats = steady_state(p)
     d_exact = linewidth_exp_closed(p, exact_stats)
     errors = []
     for orders in ((1, 0), (3, 2), (7, 6)):
@@ -192,7 +191,7 @@ def test_order_seven_tracks_exact_near_threshold():
     # oracle-pinned: 0.3% at theta_bar = 1, worst 4.6% for theta_bar <= 1.5
     for theta_bar in (0.8, 1.0, 1.25, 1.5):
         p = laser(theta_bar)
-        d_exact = linewidth_exp_closed(p, steady_state_exp(p))
+        d_exact = linewidth_exp_closed(p, steady_state(p))
         uset = build_uniform_lindblad(p, (7, 6))
         assert abs(uniform_linewidth(uset) - d_exact) / d_exact < 0.10
 
@@ -204,7 +203,7 @@ def test_admissible_pump_range_grows_with_order():
 
     def error_at(theta_bar, orders):
         p = laser(theta_bar)
-        d_exact = linewidth_exp_closed(p, steady_state_exp(p))
+        d_exact = linewidth_exp_closed(p, steady_state(p))
         return abs(uniform_linewidth(build_uniform_lindblad(p, orders)) - d_exact) / d_exact
 
     crossings = []
@@ -225,7 +224,7 @@ def test_exact_statistics_flag():
     p = laser(2.0)
     uset = build_uniform_lindblad(p, (3, 2))
     self_consistent = uniform_linewidth(uset)
-    with_exact = uniform_linewidth(uset, stats=steady_state_exp(p, uset.N))
+    with_exact = uniform_linewidth(uset, stats=steady_state(p, uset.N))
     assert math.isfinite(with_exact)
     assert with_exact != self_consistent
 

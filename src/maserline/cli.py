@@ -39,6 +39,7 @@ from .linewidth import (
 from .model import ExponentialTau, FixedTau, MaserParams
 from .regression import (
     build_sideband_generator,
+    coherence_window,
     correlate,
     initial_sideband,
     linewidth_from_slope,
@@ -68,6 +69,11 @@ _CONFIG_FIELDS = {
     "jobs": 1,
 }
 
+# fields read as numbers, and those of them read as integers; None is
+# accepted only where it is the default
+_NUMERIC_FIELDS = ("kappa", "nth", "rate", "g_tau", "min", "max", "steps", "trunc", "nodes", "jobs")
+_INTEGER_FIELDS = ("steps", "trunc", "nodes", "jobs")
+
 # the fields each command never reads; a value other than the default would
 # be echoed into the output config without changing a cell
 _UNREAD_FIELDS = {
@@ -94,6 +100,14 @@ def _load_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             resolved[key] = value
+    for key in _NUMERIC_FIELDS:
+        value = resolved[key]
+        if value is None and _CONFIG_FIELDS[key] is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
+        if key in _INTEGER_FIELDS and not isinstance(value, int):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
     # every rate is divided by kappa; check it before any arithmetic
     if not 0.0 < float(resolved["kappa"]) < math.inf:
         raise ConfigError(f"kappa must be positive and finite, got {resolved['kappa']!r}")
@@ -287,6 +301,10 @@ def cmd_spectrum(cfg: dict) -> None:
     gen = build_sideband_generator(params, stats.N, averages)
     v0 = initial_sideband(stats)
     d_slope = linewidth_from_slope(gen, v0)
+    # the dynamics run on the window where v0 lives; the slope above is exact
+    # on the full basis and stays there
+    lo, hi = coherence_window(v0)
+    gen, v0 = gen.window(lo, hi), v0[lo:hi]
     decomp = spectral_decomposition(gen, v0)
     d_eigen = decomp.linewidth
     t_grid = np.linspace(0.0, 8.0 / d_slope, 257)

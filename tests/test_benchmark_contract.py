@@ -7,13 +7,16 @@ and the ``TrigAverages`` methods listed in ``TRIG_METHODS``, and
 not) produce.  A span whose function no longer exists would only show in
 a traced run, as missing coverage or as a predicted-zero span that is
 zero for the wrong reason.  Every seed-0 operation of the three workloads
-is run once here and put through ``perfbench/gate.py``'s own checks.  The
-files are read by path, never modified.
+is run once here, put through ``perfbench/gate.py``'s own checks and
+compared with its golden output in ``perfbench/golden``.  The files are
+read by path, never modified.
 """
 
+import gzip
 import importlib
 import importlib.util
 import inspect
+import json
 import pathlib
 import sys
 
@@ -72,6 +75,14 @@ GATE = _load("gate")
 OPS = [op for workload in WORKLOADS.WORKLOADS for op in WORKLOADS.build_ops(workload, 0)]
 
 
+def _golden(workload):
+    with gzip.open(PERFBENCH / "golden" / f"{workload}.json.gz", "rt") as fh:
+        return json.load(fh)
+
+
+GOLDEN = {key: text for workload in WORKLOADS.WORKLOADS for key, text in _golden(workload).items()}
+
+
 def _op_text(op, capsys):
     if op.point is not None:
         return GATE.point_text(WORKLOADS.run_point(maserline, op.point))
@@ -84,10 +95,13 @@ def _op_text(op, capsys):
 
 @pytest.mark.parametrize("op", OPS, ids=[op.key for op in OPS])
 def test_benchmark_operation_runs(op, capsys):
-    """Every seed-0 operation of the benchmark runs and passes the output
-    gate's own checks, so a signature change or a new CLI refusal that
-    would fail the benchmark fails here too."""
-    assert GATE.check_output(_op_text(op, capsys), op.command) == []
+    """Every seed-0 operation of the benchmark runs, passes the output
+    gate's own checks and matches its golden output, so a signature
+    change, a new CLI refusal, a drift past the golden tolerance or an
+    expected refusal that starts to succeed fails here too."""
+    text = _op_text(op, capsys)
+    assert GATE.check_output(text, op.command) == []
+    assert GATE.compare_golden(text, GOLDEN[op.key], op.command) == []
 
 
 @pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)

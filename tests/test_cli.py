@@ -4,14 +4,23 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 import maserline.cli
 from maserline import (
     ExponentialTau,
+    FixedTau,
     MaserParams,
+    SpectralError,
     TrigAverages,
+    build_sideband_generator,
+    correlate,
+    initial_sideband,
     linewidth_components,
+    linewidth_from_slope,
+    spectral_decomposition,
+    spectrum_and_fwhm,
     steady_state,
 )
 from maserline.cli import main
@@ -120,6 +129,38 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert err["error"] == "ConfigError"
 
 
+# (field, value): null only where the field has a non-null default
+NON_NUMERIC = [
+    (field, value)
+    for field in ("kappa", "nth", "rate", "g_tau", "min", "max", "steps", "trunc", "nodes", "jobs")
+    for value in ("50", [1], True, *([None] if field in ("kappa", "nth", "rate", "steps", "jobs") else []))
+]
+
+
+@pytest.mark.parametrize("field, value", NON_NUMERIC, ids=[f"{f}={json.dumps(v)}" for f, v in NON_NUMERIC])
+def test_non_numeric_config_field_is_a_config_error(tmp_path, capsys, field, value):
+    """A config value of the wrong type is a typed error, not a TypeError
+    traceback from the arithmetic that reads it."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rate": 50.0, "steps": 1, field: value}))
+    assert main(["scan-theta", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.strip())
+    assert err["error"] == "ConfigError"
+    assert field in err["message"]
+
+
+@pytest.mark.parametrize("field", ["steps", "trunc", "nodes", "jobs"])
+def test_integer_config_field_rejects_a_float(tmp_path, capsys, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rate": 50.0, "steps": 1, field: 2.5}))
+    assert main(["scan-theta", "--config", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ConfigError"
+    assert field in err["message"]
+
+
 def test_scan_theta_rejects_zero_g_tau_at_zero_rate(capsys):
     """An explicit g*tau of 0 reaches parameter validation instead of
     being replaced by the default of 1."""
@@ -217,6 +258,121 @@ def test_spectrum_rejects_nonpositive_nodes(capsys, nodes):
     argv = ["spectrum", "--rate", "50", "--dist", "exp", "--g-tau", "0.3", "--nodes", nodes]
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ValueError"
+
+
+def _full_basis_spectrum(params, averages):
+    """The spectrum command's quantities from the library on the whole
+    truncation: D_slope, D_eigen, FWHM, g(t) and S(omega)."""
+    stats = steady_state(params, None, averages)
+    gen = build_sideband_generator(params, stats.N, averages)
+    v0 = initial_sideband(stats)
+    d_slope = linewidth_from_slope(gen, v0)
+    decomp = spectral_decomposition(gen, v0)
+    t_grid = np.linspace(0.0, 8.0 / d_slope, 257)
+    omega = np.linspace(-4.0 * decomp.linewidth, 4.0 * decomp.linewidth, 513)
+    s_omega, fwhm = spectrum_and_fwhm(decomp, omega)
+    return {
+        "D_slope": d_slope, "D_eigen": decomp.linewidth, "FWHM": fwhm,
+        "time": correlate(gen, v0, t_grid, decomp), "frequency": s_omega,
+    }
+
+
+def _spectrum_output(tmp_path, argv):
+    code, out = run(tmp_path, ["spectrum", *argv])
+    assert code == 0
+    meta, _, rows = read_csv(out)
+    sections = {name: np.array([float(r["value"]) for r in rows if r["section"] == name])
+                for name in ("time", "frequency")}
+    return meta, sections
+
+
+def _fixed_point(r, n_th):
+    """Spectrum flags of fixed tau at theta = 2.5 pi."""
+    return ["--rate", str(r), "--nth", str(n_th), "--g-tau", repr(2.5 * math.pi / math.sqrt(r))]
+
+
+def _params_of(argv):
+    flags = dict(zip(argv[::2], argv[1::2]))
+    dist = ExponentialTau(1.0) if flags.get("--dist") == "exp" else FixedTau(1.0)
+    params = MaserParams(1.0, float(flags.get("--nth", 0.0)), float(flags["--rate"]), float(flags["--g-tau"]), dist)
+    nodes = int(flags["--nodes"]) if "--nodes" in flags else None
+    return params, TrigAverages.for_params(params, nodes)
+
+
+# r=500 at n_th = 0.01 and 1.0 have their own tests below
+WINDOW_POINTS = [
+    *[(f"fixed-r{r}-nth{n_th}", _fixed_point(r, n_th)) for r in (50, 200) for n_th in (0.01, 0.1, 1.0)],
+    ("fixed-r500-nth0.1", _fixed_point(500, 0.1)),
+    ("exp-r50", ["--rate", "50", "--dist", "exp", "--g-tau", "0.3"]),
+    ("exp-r50-nodes16", ["--rate", "50", "--dist", "exp", "--g-tau", "0.3", "--nodes", "16"]),
+]
+
+
+@pytest.mark.parametrize("argv", [p[1] for p in WINDOW_POINTS], ids=[p[0] for p in WINDOW_POINTS])
+def test_spectrum_window_matches_the_full_basis(tmp_path, argv):
+    """The command solves the dynamics on the coherence window; every
+    output agrees with the library on the whole truncation, and D_slope,
+    which stays on the whole truncation, is the same double."""
+    meta, sections = _spectrum_output(tmp_path, argv)
+    full = _full_basis_spectrum(*_params_of(argv))
+    assert meta["D_slope"] == full["D_slope"]
+    for key in ("D_eigen", "FWHM"):
+        assert meta[key] == pytest.approx(full[key], rel=1e-10, abs=0)
+    for name in ("time", "frequency"):
+        np.testing.assert_allclose(sections[name], full[name], rtol=1e-10, atol=0)
+
+
+def test_spectrum_window_where_the_full_basis_carries_rounding(tmp_path):
+    """At r=500, n_th=1 the whole truncation (N = 2000, 1877 nonzero
+    components) carries rounding: its D_eigen is 6.4e-11 from the exact
+    route and its g(t) 2.5e-10 from the window's.  Windows from 16 to 60
+    decades agree with each other to 4e-11, and the window's D_eigen is
+    within 3e-12 of the exact route."""
+    argv = _fixed_point(500, 1.0)
+    meta, sections = _spectrum_output(tmp_path, argv)
+    params, averages = _params_of(argv)
+    exact = linewidth_components(params, steady_state(params, None, averages), averages).total
+    assert meta["D_eigen"] == pytest.approx(exact, rel=1e-11, abs=0)
+    full = _full_basis_spectrum(params, averages)
+    assert meta["D_slope"] == full["D_slope"]
+    for name in ("time", "frequency"):
+        np.testing.assert_allclose(sections[name], full[name], rtol=1e-9, atol=0)
+
+
+def test_spectrum_whole_basis_window_is_the_full_path(tmp_path, monkeypatch):
+    """Where v0 stays above 1e-20 of its peak on every component, the
+    window is the generator itself and the output is unchanged."""
+    argv = ["--rate", "0", "--nth", "0.2", "--g-tau", "0.5", "--trunc", "20"]
+    windows = []
+    window = maserline.cli.coherence_window
+
+    def recorded(v0):
+        windows.append((window(v0), v0.size))
+        return windows[-1][0]
+
+    monkeypatch.setattr(maserline.cli, "coherence_window", recorded)
+    _, windowed = run(tmp_path, ["spectrum", *argv], "windowed.csv")
+    assert windows == [((0, 20), 20)]
+    monkeypatch.setattr(maserline.cli, "coherence_window", lambda v0: (0, v0.size))
+    _, full = run(tmp_path, ["spectrum", *argv], "full.csv")
+    assert windowed.read_bytes() == full.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    _fixed_point(500, 0.01),
+    ["--rate", "1000", "--nth", "0.01", "--g-tau", "0.2483"],
+    ["--rate", "2000", "--g-tau", repr(math.pi / math.sqrt(2000.0))],
+], ids=["r500", "r1000", "r2000"])
+def test_spectrum_runs_where_the_full_basis_eigen_route_refuses(tmp_path, argv):
+    """On the whole truncation the coherence amplitudes span more than
+    double precision holds and the eigen route refuses; on the window
+    they do not."""
+    params, averages = _params_of(argv)
+    stats = steady_state(params, None, averages)
+    with pytest.raises(SpectralError):
+        spectral_decomposition(build_sideband_generator(params, stats.N, averages), initial_sideband(stats))
+    meta, _ = _spectrum_output(tmp_path, argv)
+    assert abs(meta["D_eigen"] / meta["D_slope"] - 1.0) <= 1e-8
 
 
 def test_uniform_convergence_table(tmp_path):

@@ -28,8 +28,9 @@ from maserline import (
     spectrum_and_fwhm,
     steady_state,
 )
+from maserline import regression
 from maserline.linewidth import jump_operator_matrices
-from maserline.regression import coherence_weights
+from maserline.regression import coherence_weights, coherence_window
 
 
 def dense_for(params, dim):
@@ -87,6 +88,55 @@ def test_thermal_left_eigenvector_identity_interior():
     w = coherence_weights(N)
     lhs = gen.dense().T @ w
     np.testing.assert_allclose(lhs[: N - 1], -0.5 * w[: N - 1], rtol=0, atol=1e-12)
+
+
+# -- coherence window -------------------------------------------------------------
+
+
+def test_window_drops_edge_couplings_and_keeps_fock_levels(maser_params):
+    p = maser_params(2.5, r=200.0)
+    gen = build_sideband_generator(p, 300)
+    sub = gen.window(40, 90)
+    assert (sub.N, sub.n_lo) == (50, 40)
+    assert sub.sub[0] == 0.0 and sub.sup[-1] == 0.0
+    np.testing.assert_array_equal(sub.sub[1:], gen.sub[41:90])
+    np.testing.assert_array_equal(sub.diag, gen.diag[40:90])
+    np.testing.assert_array_equal(sub.sup[:-1], gen.sup[40:89])
+    # the interior rows are those of the full generator
+    v = np.zeros(gen.N)
+    v[40:90] = np.random.default_rng(3).standard_normal(50)
+    np.testing.assert_array_equal(sub.apply(v[40:90])[1:-1], gen.apply(v)[41:89])
+    # a window of a window counts levels from the full basis
+    assert sub.window(10, 20).n_lo == 50
+    np.testing.assert_array_equal(coherence_weights(50, 40), coherence_weights(90)[40:])
+    assert gen.window(0, gen.N) is gen
+    for lo, hi in ((-1, 10), (5, 5), (0, gen.N + 1)):
+        with pytest.raises(ValueError):
+            gen.window(lo, hi)
+
+
+def test_coherence_window_edges():
+    v0 = np.array([0.0, 1e-30, 1e-20, 0.5, 1.0, 1e-19, 1e-21, 0.0, 0.0])
+    assert coherence_window(v0) == (1, 7)
+    assert coherence_window(np.array([1.0, 0.3, 1e-25])) == (0, 3)
+
+
+def test_windowed_routes_match_the_full_basis(maser_params):
+    """The slope, the eigen route and g(t) on the window read the Fock
+    weights of their levels and agree with the full basis."""
+    p = maser_params(2.5, r=200.0, n_th=0.1)
+    stats = steady_state(p)
+    gen = build_sideband_generator(p, stats.N)
+    v0 = initial_sideband(stats)
+    lo, hi = coherence_window(v0)
+    assert lo > 0 and hi < gen.N  # the window cuts on both sides
+    win, v0_win = gen.window(lo, hi), v0[lo:hi]
+    full, part = spectral_decomposition(gen, v0), spectral_decomposition(win, v0_win)
+    assert part.weights.sum().real == pytest.approx(full.weights.sum().real, rel=1e-13)
+    assert part.linewidth == pytest.approx(full.linewidth, rel=1e-10)
+    assert linewidth_from_slope(win, v0_win) == pytest.approx(linewidth_from_slope(gen, v0), rel=1e-10)
+    t = np.linspace(0.0, 8.0 / full.linewidth, 33)
+    np.testing.assert_allclose(correlate(win, v0_win, t, part), correlate(gen, v0, t, full), rtol=1e-10)
 
 
 # -- sector closure -------------------------------------------------------------
@@ -364,3 +414,49 @@ def test_micromaser_fwhm_close_to_linewidth(maser_params):
         d = dec.linewidth
         _, fwhm = spectrum_and_fwhm(dec, np.linspace(-4.0 * d, 4.0 * d, 801))
         assert abs(fwhm - d) / d < 0.15
+
+
+def _half_crossing_100_steps(f, start, step, half, max_doublings=200):
+    """The bisection with a fixed 100 halvings, as a reference."""
+    inner = start
+    outer = start + step
+    for _ in range(max_doublings):
+        if f(outer) < half:
+            break
+        inner = outer
+        step *= 2.0
+        outer += step
+    for _ in range(100):
+        mid = 0.5 * (inner + outer)
+        if f(mid) >= half:
+            inner = mid
+        else:
+            outer = mid
+    return 0.5 * (inner + outer)
+
+
+@pytest.mark.parametrize("theta, r, n_th", [(2.5, 50.0, 0.01), (2.1, 200.0, 0.1), (1.2, 200.0, 0.5), (3.3, 500.0, 1.0)])
+def test_half_crossing_stops_when_the_bracket_stops_shrinking(monkeypatch, maser_params, theta, r, n_th):
+    p = maser_params(theta, r=r, n_th=n_th)
+    stats = steady_state(p)
+    dec = spectral_decomposition(build_sideband_generator(p, stats.N), initial_sideband(stats))
+    omega = np.linspace(-4.0 * dec.linewidth, 4.0 * dec.linewidth, 513)
+    evaluations = 0
+    stopping = regression._half_crossing
+
+    def counted(f, *args):
+        def f_counted(x):
+            nonlocal evaluations
+            evaluations += 1
+            return f(x)
+
+        return stopping(f_counted, *args)
+
+    monkeypatch.setattr(regression, "_half_crossing", counted)
+    spectrum, fwhm = spectrum_and_fwhm(dec, omega)
+    monkeypatch.setattr(regression, "_half_crossing", _half_crossing_100_steps)
+    spectrum_ref, fwhm_ref = spectrum_and_fwhm(dec, omega)
+    assert fwhm == fwhm_ref  # bit for bit
+    np.testing.assert_array_equal(spectrum, spectrum_ref)
+    if r == 200.0:
+        assert evaluations <= 120  # both flanks; the 100-step loop takes over 200

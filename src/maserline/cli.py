@@ -308,7 +308,7 @@ def cmd_spectrum(cfg: dict) -> None:
     decomp = spectral_decomposition(gen, v0)
     d_eigen = decomp.linewidth
     t_grid = np.linspace(0.0, 8.0 / d_slope, 257)
-    g_t = correlate(gen, v0, t_grid, decomp)
+    g_t = correlate(decomp, t_grid)
     omega = np.linspace(-4.0 * d_eigen, 4.0 * d_eigen, 513)
     s_omega, fwhm = spectrum_and_fwhm(decomp, omega)
     rows = [{"section": "time", "x": t, "value": g, "status": "ok"} for t, g in zip(t_grid, g_t)]

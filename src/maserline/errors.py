@@ -23,7 +23,8 @@ class QuadratureError(MaserlineError):
 
 
 class IntegrationError(MaserlineError):
-    """Time integration stopped before the end of the requested grid."""
+    """Time integration of the dense oracle stopped before the end of the
+    requested grid."""
 
     def __init__(self, message: str, t_reached: float | None = None):
         super().__init__(message)
@@ -31,8 +32,9 @@ class IntegrationError(MaserlineError):
 
 
 class SpectralError(MaserlineError):
-    """Eigen-decomposition of a sideband generator is unreliable: large
-    residual, (near-)defective generator, or sum-rule violation."""
+    """Eigen-decomposition of a sideband generator is unreliable or
+    undefined: large residual, (near-)defective generator, sum-rule
+    violation, or a mode that does not decay."""
 
 
 class ConfigError(MaserlineError):

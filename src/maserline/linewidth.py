@@ -164,20 +164,18 @@ def linewidth_mcgowan(
     return float(stats.p @ w) * params.kappa / mean
 
 
-def linewidth_scully(params: MaserParams, stats: PhotonStatistics, restore_kappa: bool = True) -> float:
+def linewidth_scully(params: MaserParams, stats: PhotonStatistics) -> float:
     """Narrow-distribution closed formula for a fixed interaction time,
 
         D = kappa (1 + 2 n_th) / (4 <n>) + 4 r sin^2(g tau / (4 sqrt(<n>))).
 
-    The first term is dimensionally incomplete in its classic printed
-    form; ``restore_kappa=False`` reproduces that literal form (the
-    leading 1 left as a bare number).
+    The classic printed form leaves kappa out of the first term, which is
+    then dimensionally incomplete; it is restored here.
     """
     if not isinstance(params.tau_dist, FixedTau):
         raise ValueError("linewidth_scully is stated per fixed interaction time")
     mean = require_excitation(stats)
-    front = params.kappa if restore_kappa else 1.0
-    loss = front * (1.0 + 2.0 * params.n_th) / (4.0 * mean)
+    loss = params.kappa * (1.0 + 2.0 * params.n_th) / (4.0 * mean)
     arg = params.g * params.tau_dist.tau / (4.0 * np.sqrt(mean))
     return loss + 4.0 * params.r * np.sin(arg) ** 2
 

@@ -13,7 +13,9 @@ superoperator restricts to a real tridiagonal generator G acting on v:
 
 (gt is g tau; all tau averages use the shared machinery).  The linewidth
 is read off the initial slope, D = -2 g'(0)/g(0), or equivalently from
-the weighted mean of the generator's decay rates.
+the weighted mean of the generator's decay rates.  g(t) and the spectrum
+are read from the eigen expansion of :func:`spectral_decomposition`, with
+no time stepping; where that refuses, the answer is the window below.
 
 The boundary entries follow the truncated-operator convention (operators
 are literal matrices on N+1 levels), so a single application of the
@@ -109,10 +111,15 @@ class SidebandGenerator:
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Decay rates mu_j = -2 eigenvalue and weights g_j of the expansion
-    g(t) = sum_j g_j exp(-mu_j t / 2), with sum_j g_j = <n>."""
+    g(t) = sum_j g_j exp(-mu_j t / 2), with sum_j g_j = <n>.  Every mode
+    decays: Re mu_j <= 0 is a :class:`SpectralError`."""
 
     mu: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        if np.any(self.mu.real <= 0.0):
+            raise SpectralError(f"non-decaying mode (min Re mu = {self.mu.real.min():.3g}); g(t) is undefined")
 
     @property
     def linewidth(self) -> float:
@@ -178,59 +185,17 @@ def linewidth_from_slope(gen: SidebandGenerator, v0: np.ndarray) -> float:
     return -2.0 * float(w @ gen.apply(v0)) / g0
 
 
-def correlate(
-    gen: SidebandGenerator,
-    v0: np.ndarray,
-    t_grid,
-    decomp: SpectralDecomposition | None = None,
-) -> np.ndarray:
-    """g(t) = w . v(t) on the given grid, where dv/dt = G v.
-
-    The grid must be ascending and start at 0.  When the eigen route
-    accepts the generator and every mode decays (Re mu_j > 0), g(t) is
-    the exact expansion Re sum_j g_j exp(-mu_j t / 2).  ``decomp`` is the
-    :func:`spectral_decomposition` of (gen, v0) if the caller already has
-    it; otherwise it is computed here, and a :class:`SpectralError` (or a
-    vacuum g(0) = 0) selects the fallback.  The fallback, used where the
-    eigen route refuses or a mode does not decay, integrates the
-    equation adaptively (DOP853) with local error 1e-10 relative; a step
-    failure raises :class:`IntegrationError` carrying the time reached.
-    """
+def correlate(decomp: SpectralDecomposition, t_grid) -> np.ndarray:
+    """g(t) = Re sum_j g_j exp(-mu_j t / 2) on the given grid, which must be
+    ascending and start at 0.  ``decomp`` is the
+    :func:`spectral_decomposition` of the generator and v(0)."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1 or t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be ascending and start at 0")
-    w = coherence_weights(gen.N, gen.n_lo)
-    if t_grid.size == 1:
-        return np.array([float(w @ v0)])
-    if decomp is None:
-        try:
-            decomp = spectral_decomposition(gen, v0)
-        except (SpectralError, VacuumStateError):
-            pass
-    if decomp is not None and np.all(decomp.mu.real > 0.0):
-        mu, weights = decomp.mu, decomp.weights
-        if not np.any(mu.imag):  # all modes real: real arithmetic, half the work
-            mu, weights = mu.real, weights.real
-        return np.real(np.exp(np.outer(-0.5 * t_grid, mu)) @ weights)
-
-    from scipy.integrate import solve_ivp  # imported on use: off the package's import path
-
-    scale = float(np.max(np.abs(v0)))
-    stiff = float(np.max(np.abs(gen.diag)))
-    sol = solve_ivp(
-        lambda t, v: gen.apply(v),
-        (0.0, float(t_grid[-1])),
-        np.asarray(v0, dtype=float),
-        method="DOP853",
-        t_eval=t_grid,
-        rtol=1e-10,
-        atol=1e-14 * max(scale, 1e-300),
-        first_step=min(0.1 / stiff, float(t_grid[-1])) if stiff > 0 else None,
-    )
-    if not sol.success:
-        reached = float(sol.t[-1]) if sol.t.size else 0.0
-        raise IntegrationError(f"integration stalled at t = {reached:g}: {sol.message}", reached)
-    return w @ sol.y
+    mu, weights = decomp.mu, decomp.weights
+    if not np.any(mu.imag):  # all modes real: real arithmetic, half the work
+        mu, weights = mu.real, weights.real
+    return np.real(np.exp(np.outer(-0.5 * t_grid, mu)) @ weights)
 
 
 def _scaling_exponents(sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
@@ -321,15 +286,13 @@ def spectrum_and_fwhm(decomp: SpectralDecomposition, omega_grid) -> tuple[np.nda
     """One-sided spectrum S(w) = sum_j Re[g_j (mu_j/2 - i w)^(-1)] and its
     full width at half maximum (located by bisection on each flank).
 
-    Modes with |g_j| below ``WEIGHT_FLOOR`` of sum_j |g_j| are dropped; a
-    retained mode that does not decay is rejected.
+    Modes with |g_j| below ``WEIGHT_FLOOR`` of sum_j |g_j| are dropped;
+    every mode decays, as the decomposition guarantees.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     keep = np.abs(decomp.weights) > WEIGHT_FLOOR * np.sum(np.abs(decomp.weights))
     mu = decomp.mu[keep]
     g = decomp.weights[keep]
-    if np.any(mu.real <= 0):
-        raise SpectralError("non-decaying mode retained; spectrum undefined")
 
     def value(omega):
         return np.real(g @ (1.0 / (mu[:, None] / 2.0 - 1j * np.atleast_1d(omega)[None, :])))
@@ -431,7 +394,7 @@ class DenseLindblad:
 
     def evolve(self, rho0: np.ndarray, t_grid, rtol: float = 1e-10) -> np.ndarray:
         """Density matrices at the requested times, shape (len(t), dim, dim)."""
-        from scipy.integrate import solve_ivp  # imported on use, as in correlate
+        from scipy.integrate import solve_ivp  # imported on use: off the package's import path
 
         t_grid = np.asarray(t_grid, dtype=float)
         shape = rho0.shape

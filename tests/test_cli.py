@@ -1,5 +1,6 @@
 """Command-line front end: formats, reproducibility, error contracts."""
 
+import itertools
 import json
 import math
 import warnings
@@ -24,6 +25,7 @@ from maserline import (
     steady_state,
 )
 from maserline.cli import main
+from maserline.regression import coherence_window
 
 
 def run(tmp_path, argv, name="out.csv"):
@@ -273,7 +275,7 @@ def _full_basis_spectrum(params, averages):
     s_omega, fwhm = spectrum_and_fwhm(decomp, omega)
     return {
         "D_slope": d_slope, "D_eigen": decomp.linewidth, "FWHM": fwhm,
-        "time": correlate(gen, v0, t_grid, decomp), "frequency": s_omega,
+        "time": correlate(decomp, t_grid), "frequency": s_omega,
     }
 
 
@@ -373,6 +375,24 @@ def test_spectrum_runs_where_the_full_basis_eigen_route_refuses(tmp_path, argv):
         spectral_decomposition(build_sideband_generator(params, stats.N, averages), initial_sideband(stats))
     meta, _ = _spectrum_output(tmp_path, argv)
     assert abs(meta["D_eigen"] / meta["D_slope"] - 1.0) <= 1e-8
+
+
+def test_every_windowed_spectrum_decomposition_decays():
+    """The eigen route of the spectrum command accepts every point of this
+    grid on its coherence window, and every mode decays, so g(t) is the
+    eigen expansion throughout: fixed tau, exponential tau in closed form
+    and with 16 nodes, r in {50, 200, 1000}, n_th in {0, 0.01, 1} and
+    theta from 0.5 pi to 3.5 pi (189 points)."""
+    dists = (["--dist", "fixed"], ["--dist", "exp"], ["--dist", "exp", "--nodes", "16"])
+    thetas = [k / 2 for k in range(1, 8)]
+    for dist, r, n_th, theta in itertools.product(dists, (50, 200, 1000), (0, 0.01, 1), thetas):
+        argv = ["--rate", str(r), "--nth", str(n_th), "--g-tau", repr(theta * math.pi / math.sqrt(r)), *dist]
+        params, averages = _params_of(argv)
+        stats = steady_state(params, None, averages)
+        v0 = initial_sideband(stats)
+        lo, hi = coherence_window(v0)
+        gen = build_sideband_generator(params, stats.N, averages).window(lo, hi)
+        assert spectral_decomposition(gen, v0[lo:hi]).mu.real.min() > 0.0, argv
 
 
 def test_uniform_convergence_table(tmp_path):
@@ -518,19 +538,24 @@ def test_module_entry_point():
 
 def test_import_path_leaves_out_scipy_integrate():
     """Importing the package and building the parser loads no time
-    stepper (only the correlation fallback and the dense oracle need it)
-    and no sparse-matrix package (the jump-operator trace uses its own
-    single-band matrices)."""
+    stepper (only the dense oracle needs one) and no sparse-matrix package
+    (the jump-operator trace uses its own single-band matrices); a
+    ``spectrum`` command, whose g(t) is the eigen expansion, loads no time
+    stepper either."""
     import subprocess
     import sys
 
     code = (
         "import sys, maserline, maserline.cli; maserline.cli.build_parser(); "
-        "print('scipy.integrate' in sys.modules, 'scipy.sparse' in sys.modules)"
+        "print('scipy.integrate' in sys.modules, 'scipy.sparse' in sys.modules); "
+        "code = maserline.cli.main(['spectrum', '--rate', '50', '--nth', '0.01', '--g-tau', '0.35']); "
+        "print(code, 'scipy.integrate' in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    lines = proc.stdout.splitlines()  # the spectrum table sits between the two reports
+    assert lines[0] == "False False"
+    assert lines[-1] == "0 False"
 
 
 def test_parallel_rows_match_serial(tmp_path):

@@ -340,14 +340,6 @@ def test_scully_small_angle_limit():
     assert linewidth_scully(p, stats) == pytest.approx((1 + 0.4) / 100.0, rel=1e-6)
 
 
-def test_scully_literal_form_flag():
-    p = MaserParams(kappa=2.0, n_th=0.0, r=100.0, g=math.pi, tau_dist=FixedTau(0.5))
-    stats = point_statistics(25, 40)
-    restored = linewidth_scully(p, stats)
-    literal = linewidth_scully(p, stats, restore_kappa=False)
-    assert restored - literal == pytest.approx((2.0 - 1.0) / 100.0, rel=1e-12)
-
-
 def test_scully_requires_fixed_tau(laser_params):
     p = laser_params(1.0)
     with pytest.raises(ValueError):

@@ -10,8 +10,9 @@ Four subcommands emit figure-ready tables:
 Configuration comes from an optional JSON file (--config) with individual
 flags overriding single fields; the fully resolved configuration is echoed
 into every output so runs are reproducible byte for byte.  Output is CSV
-(RFC-4180-style quoting, 17 significant digits) or JSON.  Cells are never
-NaN/Inf: undefined values are left empty and flagged in the status column.
+(17 significant digits) or JSON, whose rows list their keys in the CSV
+column order.  Cells are never NaN/Inf: undefined values are left empty in
+CSV, absent from JSON rows, and flagged in the status column.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -151,48 +153,40 @@ def _scan_range(cfg: dict, default_min: float, default_max: float) -> np.ndarray
     return np.linspace(lo, hi, steps)
 
 
-def _fmt(value) -> str:
+def _fmt(column: str, value) -> str:
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+    if isinstance(value, (str, int)):
+        return str(value)
+    if not math.isfinite(value):
+        raise MaserlineError(f"non-finite cell {column}={value}; refusing to write")
+    return f"{value:.17g}"
 
 
-def _write_rows(cfg: dict, header_meta: dict, columns: list[str], rows: list[dict], stream) -> None:
+def _emit(cfg: dict, header_meta: dict, table: dict[str, list]) -> None:
+    """Write one table, given as column name -> cells in row order.
+
+    The whole text is built before ``--out`` is opened or stdout written,
+    so a refused cell leaves no output.
+    """
     # the destination path is the one field that may differ between
     # otherwise identical runs; leaving it out keeps outputs byte-identical
     echoed = {k: v for k, v in cfg.items() if k != "out"}
     meta = {"tool": "maserline", "version": __version__, "config": echoed, **header_meta}
+    # _fmt refuses a non-finite cell; JSON writes the values themselves
+    cells = [[_fmt(name, value) for value in column] for name, column in table.items()]
     if cfg["format"] == "json":
-        json.dump({"metadata": meta, "rows": rows}, stream, indent=1, default=_fmt)
-        stream.write("\n")
-        return
-    stream.write("# " + json.dumps(meta, default=_fmt) + "\n")
-    stream.write(",".join(columns) + "\n")
-    for row in rows:
-        cells = []
-        for col in columns:
-            cell = _fmt(row.get(col))
-            if "," in cell or '"' in cell:
-                cell = '"' + cell.replace('"', '""') + '"'
-            cells.append(cell)
-        stream.write(",".join(cells) + "\n")
-
-
-def _emit(cfg: dict, header_meta: dict, columns: list[str], rows: list[dict]) -> None:
-    for row in rows:
-        for col in columns:
-            value = row.get(col)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise MaserlineError(f"non-finite cell {col}={value}; refusing to write")
+        rows = [{name: value for name, value in zip(table, row) if value is not None}
+                for row in zip(*table.values())]
+        text = json.dumps({"metadata": meta, "rows": rows}, indent=1) + "\n"
+    else:
+        lines = ["# " + json.dumps(meta), ",".join(table), *map(",".join, zip(*cells))]
+        text = "\n".join(lines) + "\n"
     if cfg["out"]:
         with open(cfg["out"], "w", newline="") as fh:
-            _write_rows(cfg, header_meta, columns, rows, fh)
+            fh.write(text)
     else:
-        _write_rows(cfg, header_meta, columns, rows, sys.stdout)
+        sys.stdout.write(text)
 
 
 # -- scan-theta -------------------------------------------------------------
@@ -249,48 +243,42 @@ def cmd_scan_theta(cfg: dict) -> None:
     thetas = _scan_range(cfg, 0.1, 4.0)  # in units of pi
     tasks = [(cfg, t) for t in thetas]
     rows = _map_ordered(_scan_theta_row, tasks, int(cfg["jobs"]))
-    _emit(cfg, {"scan": "theta_over_pi"}, SCAN_THETA_COLUMNS, rows)
+    table = {name: [row.get(name) for row in rows] for name in SCAN_THETA_COLUMNS}
+    _emit(cfg, {"scan": "theta_over_pi"}, table)
 
 
 # -- fock-resolved ----------------------------------------------------------
-
-FOCK_COLUMNS = [
-    "g_tau", "theta", "n", "p_n", "w_main", "w_mcgowan",
-    "w_main_norm", "w_mcgowan_norm", "status",
-]
-
 
 def cmd_fock_resolved(cfg: dict, g_taus: list[float]) -> None:
     if cfg["dist"] != "fixed":
         raise ConfigError("fock-resolved weights are defined per fixed tau")
     if not g_taus:
         raise ConfigError("at least one --g-tau is required")
-    rows = []
+    table: dict[str, list] = {}
     for g_tau in g_taus:
         params = _params_from_config(cfg, g_tau=g_tau)
         fw = fock_resolved_weights(params, cfg["trunc"])
         theta = params.theta(params.tau_dist.tau)
         main_peak = float(np.max(fw.main)) or 1.0
         mc_peak = float(np.max(np.abs(fw.mcgowan))) or 1.0
-        for n in fw.n:
-            rows.append({
-                "g_tau": g_tau,
-                "theta": theta,
-                "n": int(n),
-                "p_n": fw.p[n],
-                "w_main": fw.main[n],
-                "w_mcgowan": fw.mcgowan[n],
-                "w_main_norm": fw.main[n] / main_peak,
-                "w_mcgowan_norm": fw.mcgowan[n] / mc_peak,
-                "status": "ok",
-            })
-    _emit(cfg, {"weight_normalization": "per-curve maximum"}, FOCK_COLUMNS, rows)
+        size = fw.n.size
+        block = {
+            "g_tau": [g_tau] * size,
+            "theta": [theta] * size,
+            "n": fw.n.tolist(),
+            "p_n": fw.p.tolist(),
+            "w_main": fw.main.tolist(),
+            "w_mcgowan": fw.mcgowan.tolist(),
+            "w_main_norm": (fw.main / main_peak).tolist(),
+            "w_mcgowan_norm": (fw.mcgowan / mc_peak).tolist(),
+            "status": ["ok"] * size,
+        }
+        for name, cells in block.items():
+            table.setdefault(name, []).extend(cells)
+    _emit(cfg, {"weight_normalization": "per-curve maximum"}, table)
 
 
 # -- spectrum ---------------------------------------------------------------
-
-SPECTRUM_COLUMNS = ["section", "x", "value", "status"]
-
 
 def cmd_spectrum(cfg: dict) -> None:
     params = _params_from_config(cfg)
@@ -311,10 +299,14 @@ def cmd_spectrum(cfg: dict) -> None:
     g_t = correlate(decomp, t_grid)
     omega = np.linspace(-4.0 * d_eigen, 4.0 * d_eigen, 513)
     s_omega, fwhm = spectrum_and_fwhm(decomp, omega)
-    rows = [{"section": "time", "x": t, "value": g, "status": "ok"} for t, g in zip(t_grid, g_t)]
-    rows += [{"section": "frequency", "x": o, "value": s, "status": "ok"} for o, s in zip(omega, s_omega)]
+    table = {
+        "section": ["time"] * t_grid.size + ["frequency"] * omega.size,
+        "x": t_grid.tolist() + omega.tolist(),
+        "value": g_t.tolist() + s_omega.tolist(),
+        "status": ["ok"] * (t_grid.size + omega.size),
+    }
     meta = {"D_slope": d_slope, "D_eigen": d_eigen, "FWHM": fwhm, "n_mean": stats.mean}
-    _emit(cfg, meta, SPECTRUM_COLUMNS, rows)
+    _emit(cfg, meta, table)
 
 
 # -- uniform-convergence ----------------------------------------------------
@@ -372,16 +364,18 @@ def cmd_uniform_convergence(cfg: dict) -> None:
     columns += [f"D_order_{o[0]}" for o in orders] + ["status"]
     tasks = [(cfg, tb, orders) for tb in theta_bars]
     rows = _map_ordered(_uniform_row, tasks, int(cfg["jobs"]))
+    table = {name: [row.get(name) for row in rows] for name in columns}
     meta = {"threshold_theta_bar": THRESHOLD_THETA_BAR, "scan": "theta_bar via rate"}
-    _emit(cfg, meta, columns, rows)
+    _emit(cfg, meta, table)
 
 
 def _map_ordered(fn, tasks, jobs: int) -> list:
     """Rows computed (possibly in parallel) and returned in scan order."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
     # the executor forks all max_workers processes on the first submit
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 
 

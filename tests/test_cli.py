@@ -112,6 +112,64 @@ def test_json_format_round_trip(tmp_path):
     assert payload["rows"][0]["status"] == "ok"
 
 
+@pytest.mark.parametrize("argv, statuses", [
+    (["scan-theta", "--rate", "50", "--nth", "0.01", "--min", "0.6", "--max", "2.0", "--steps", "3"], {"ok"}),
+    (["scan-theta", "--rate", "0", "--nth", "0", "--g-tau", "0.5", "--steps", "2"], {"vacuum"}),
+    (["fock-resolved", "--rate", "20", "--g-tau", "0.7", "--g-tau", "0.9", "--trunc", "30"], {"ok"}),
+    (["spectrum", "--rate", "50", "--nth", "0.01", "--g-tau", "0.35"], {"ok"}),
+    (["uniform-convergence", "--dist", "exp", "--min", "0.3", "--max", "1.2", "--steps", "4"],
+     {"below-threshold", "ok"}),
+])
+def test_csv_and_json_carry_the_same_table(tmp_path, argv, statuses):
+    """JSON rows list the CSV columns in header order, minus the empty cells,
+    and every cell holds the same value in both formats."""
+    assert run(tmp_path, argv, "out.csv")[0] == 0
+    assert run(tmp_path, argv + ["--format", "json"], "out.json")[0] == 0
+    meta, header, csv_rows = read_csv(tmp_path / "out.csv")
+    payload = json.loads((tmp_path / "out.json").read_text())
+    assert payload["metadata"] == {**meta, "config": {**meta["config"], "format": "json"}}
+    assert len(payload["rows"]) == len(csv_rows)
+    assert {row["status"] for row in csv_rows} == statuses
+    for csv_row, json_row in zip(csv_rows, payload["rows"]):
+        assert list(json_row) == [col for col in header if csv_row[col] != ""]
+        for col, value in json_row.items():
+            if isinstance(value, str):
+                assert csv_row[col] == value
+            else:
+                assert float(csv_row[col]) == value, col
+
+
+def _nan_scully(*args):
+    return math.nan
+
+
+def _nan_correlate(decomp, t_grid):
+    g_t = correlate(decomp, t_grid)
+    g_t[-1] = math.nan
+    return g_t
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv, name, stand_in, column", [
+    (["scan-theta", "--rate", "50", "--nth", "0.01", "--steps", "2"],
+     "linewidth_scully", _nan_scully, "D_scully"),
+    (["spectrum", "--rate", "50", "--nth", "0.01", "--g-tau", "0.35"],
+     "correlate", _nan_correlate, "value"),
+])
+def test_non_finite_cell_is_refused_before_any_output(tmp_path, capsys, monkeypatch,
+                                                       fmt, argv, name, stand_in, column):
+    monkeypatch.setattr(maserline.cli, name, stand_in)
+    out = tmp_path / f"out.{fmt}"
+    for destination in (["--out", str(out)], []):
+        assert main(argv + ["--format", fmt] + destination) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "MaserlineError"
+        assert f"{column}=nan" in error["message"]
+    assert not out.exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"rate": 50.0, "nth": 0.01, "min": 0.8, "max": 1.6, "steps": 3}))
@@ -570,8 +628,9 @@ def test_parallel_rows_match_serial(tmp_path):
 
 
 def test_parallel_rows_start_no_more_workers_than_rows(monkeypatch, capsys):
-    """The executor forks every worker on its first submit, so --jobs above
-    the row count asks for one worker per row."""
+    """The executor forks every worker on its first submit, so --jobs is
+    capped at the row count and at the CPU count; at one worker the rows
+    run serially without an executor."""
     requested = []
 
     class SerialExecutor:
@@ -588,9 +647,12 @@ def test_parallel_rows_start_no_more_workers_than_rows(monkeypatch, capsys):
             return map(fn, tasks)
 
     monkeypatch.setattr(maserline.cli, "ProcessPoolExecutor", SerialExecutor)
-    assert main(["scan-theta", "--rate", "50", "--steps", "3", "--jobs", "64"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 2 + 3
-    assert requested == [3]
+    for jobs, cpus, expected in (("64", 8, [3]), ("5000", 2, [2]), ("64", 1, []), ("64", None, [])):
+        requested.clear()
+        monkeypatch.setattr(maserline.cli.os, "cpu_count", lambda cpus=cpus: cpus)
+        assert main(["scan-theta", "--rate", "50", "--steps", "3", "--jobs", jobs]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 + 3
+        assert requested == expected, (jobs, cpus)
 
 
 def test_stdout_default(capsys):

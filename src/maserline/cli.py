@@ -9,7 +9,9 @@ Four subcommands emit figure-ready tables:
 
 Configuration comes from an optional JSON file (--config) with individual
 flags overriding single fields; the fully resolved configuration is echoed
-into every output so runs are reproducible byte for byte.  Output is CSV
+into every output so runs are reproducible byte for byte.  Config-file
+values are checked like flags, --jobs must be at least 1, and an --out
+that cannot be written exits 2 with a ConfigError.  Output is CSV
 (17 significant digits) or JSON, whose rows list their keys in the CSV
 column order.  Cells are never NaN/Inf: undefined values are left empty in
 CSV, absent from JSON rows, and flagged in the status column.
@@ -53,76 +55,73 @@ from .uniform import build_uniform_lindblad, uniform_linewidth
 
 THRESHOLD_THETA_BAR = 1.0 / math.sqrt(2.0)
 
-_CONFIG_FIELDS = {
-    "kappa": 1.0,
-    "nth": 0.0,
-    "rate": 0.0,
-    "g_tau": None,
-    "dist": "fixed",
-    "scan": None,
-    "min": None,
-    "max": None,
-    "steps": 50,
-    "trunc": None,
-    "nodes": None,
-    "orders": "1,0;3,2;7,6",
-    "out": None,
-    "format": "csv",
-    "jobs": 1,
-}
+_ALL = ("scan-theta", "fock-resolved", "spectrum", "uniform-convergence")
+_SCANS = ("scan-theta", "uniform-convergence")
+_RATED = ("scan-theta", "fock-resolved", "spectrum")
 
-# fields read as numbers, and those of them read as integers; None is
-# accepted only where it is the default
-_NUMERIC_FIELDS = ("kappa", "nth", "rate", "g_tau", "min", "max", "steps", "trunc", "nodes", "jobs")
-_INTEGER_FIELDS = ("steps", "trunc", "nodes", "jobs")
-
-# the fields each command never reads; a value other than the default would
-# be echoed into the output config without changing a cell
-_UNREAD_FIELDS = {
-    "scan-theta": ("scan", "nodes", "orders"),
-    "fock-resolved": ("scan", "min", "max", "steps", "nodes", "orders", "jobs"),
-    "spectrum": ("scan", "min", "max", "steps", "orders", "jobs"),
-    "uniform-convergence": ("scan", "rate", "nodes"),
+# field -> (default, accepted values, commands that read it, flag help), in
+# the order of the echoed config and of the flags.  Accepted values are float
+# (an int or a float), int, str or a tuple of the allowed strings; None only
+# where it is the default.  A field without help has no common flag.
+_FIELDS = {
+    "kappa": (1.0, float, _ALL, "cavity decay rate (default 1)"),
+    "nth": (0.0, float, _RATED, "thermal occupation (default 0)"),
+    "rate": (0.0, float, _RATED, "atom injection rate (units of kappa)"),
+    "g_tau": (None, float, _ALL, None),  # each command has its own --g-tau
+    "dist": ("fixed", ("fixed", "exp"), ("spectrum", "uniform-convergence"), "interaction-time distribution"),
+    "scan": (None, str, (), None),
+    "min": (None, float, _SCANS, "scan lower bound"),
+    "max": (None, float, _SCANS, "scan upper bound"),
+    "steps": (50, int, _SCANS, "number of scan points"),
+    "trunc": (None, int, _ALL, "Fock truncation override"),
+    "nodes": (None, int, ("spectrum",), "quadrature node override"),
+    "orders": ("1,0;3,2;7,6", str, ("uniform-convergence",), "uniform order pairs, e.g. '1,0;3,2;7,6'"),
+    "out": (None, str, _ALL, "output path (default stdout)"),
+    "format": ("csv", ("csv", "json"), _ALL, "output format (default csv)"),
+    "jobs": (1, int, _SCANS, "parallel workers for scan rows (default 1)"),
 }
+_KINDS = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string")}
 
 
 def _load_config(args: argparse.Namespace) -> dict:
-    resolved = dict(_CONFIG_FIELDS)
+    """The resolved config: file fields, then flags, each checked against _FIELDS."""
+    resolved = {key: field[0] for key, field in _FIELDS.items()}
     if args.config:
         try:
             with open(args.config) as fh:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        unknown = set(file_cfg) - set(_CONFIG_FIELDS)
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object, got {file_cfg!r}")
+        unknown = set(file_cfg) - set(_FIELDS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         resolved.update(file_cfg)
-    for key in _CONFIG_FIELDS:
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            resolved[key] = value
-    for key in _NUMERIC_FIELDS:
-        value = resolved[key]
-        if value is None and _CONFIG_FIELDS[key] is None:
+    for key, (default, accepted, readers, _) in _FIELDS.items():
+        value = getattr(args, key, None)
+        if value is None:
+            value = resolved[key]
+        resolved[key] = value
+        if value is None and default is None:
             continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key} must be a number, got {value!r}")
-        if key in _INTEGER_FIELDS and not isinstance(value, int):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if isinstance(accepted, tuple):
+            if value not in accepted:
+                raise ConfigError(f"{key} must be one of {list(accepted)}, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, _KINDS[accepted][0]):
+            raise ConfigError(f"{key} must be {_KINDS[accepted][1]}, got {value!r}")
+        # a value the command never reads would be echoed without changing a cell
+        if args.command not in readers and value != default:
+            raise ConfigError(f"{args.command} does not read {key}; got {value!r}")
     # every rate is divided by kappa; check it before any arithmetic
-    if not 0.0 < float(resolved["kappa"]) < math.inf:
+    if not 0.0 < resolved["kappa"] < math.inf:
         raise ConfigError(f"kappa must be positive and finite, got {resolved['kappa']!r}")
+    if resolved["jobs"] < 1:
+        raise ConfigError(f"jobs must be at least 1, got {resolved['jobs']!r}")
     if args.command == "uniform-convergence" and resolved["g_tau"] == 0:
         # the scan sets the rate to (theta_bar / g_tau)^2 kappa
         raise ConfigError("uniform-convergence needs g_tau != 0")
     return resolved
-
-
-def _reject_unread(command: str, cfg: dict) -> None:
-    for key in _UNREAD_FIELDS[command]:
-        if cfg[key] != _CONFIG_FIELDS[key]:
-            raise ConfigError(f"{command} does not read {key}; got {cfg[key]!r}")
 
 
 def _params_from_config(cfg: dict, g_tau: float | None = None) -> MaserParams:
@@ -130,8 +129,6 @@ def _params_from_config(cfg: dict, g_tau: float | None = None) -> MaserParams:
     if g_tau is None:
         raise ConfigError("g_tau is required (flag --g-tau or config)")
     dist = FixedTau(1.0) if cfg["dist"] == "fixed" else ExponentialTau(1.0)
-    if cfg["dist"] not in ("fixed", "exp"):
-        raise ConfigError(f"dist must be 'fixed' or 'exp', got {cfg['dist']!r}")
     # tau is fixed to one cavity lifetime; g carries the whole product
     return MaserParams(
         kappa=float(cfg["kappa"]),
@@ -183,8 +180,11 @@ def _emit(cfg: dict, header_meta: dict, table: dict[str, list]) -> None:
         lines = ["# " + json.dumps(meta), ",".join(table), *map(",".join, zip(*cells))]
         text = "\n".join(lines) + "\n"
     if cfg["out"]:
-        with open(cfg["out"], "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(cfg["out"], "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {cfg['out']}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -236,8 +236,6 @@ def _scan_theta_row(task) -> dict:
 
 
 def cmd_scan_theta(cfg: dict) -> None:
-    if cfg["dist"] != "fixed":
-        raise ConfigError("scan-theta scans g*tau and needs dist='fixed'")
     if float(cfg["rate"]) > 0 and cfg["g_tau"] is not None:
         raise ConfigError("scan-theta sets g*tau from theta at rate > 0 and reads g_tau at rate 0 only")
     thetas = _scan_range(cfg, 0.1, 4.0)  # in units of pi
@@ -250,8 +248,6 @@ def cmd_scan_theta(cfg: dict) -> None:
 # -- fock-resolved ----------------------------------------------------------
 
 def cmd_fock_resolved(cfg: dict, g_taus: list[float]) -> None:
-    if cfg["dist"] != "fixed":
-        raise ConfigError("fock-resolved weights are defined per fixed tau")
     if not g_taus:
         raise ConfigError("at least one --g-tau is required")
     table: dict[str, list] = {}
@@ -356,8 +352,6 @@ def cmd_uniform_convergence(cfg: dict) -> None:
         raise ConfigError("uniform-convergence needs dist='exp'")
     if cfg["g_tau"] is None:
         cfg = dict(cfg, g_tau=0.3)
-    if cfg["nth"] not in (0, 0.0):
-        raise ConfigError("the exponential closed forms hold at nth=0")
     orders = _parse_orders(cfg["orders"])
     theta_bars = _scan_range(cfg, 0.2, 3.0)
     columns = ["theta_bar", "n_mean", "D_exact", "D_exp_scully"]
@@ -389,19 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--kappa", type=float, help="cavity decay rate (default 1)")
-        p.add_argument("--nth", type=float, help="thermal occupation (default 0)")
-        p.add_argument("--rate", type=float, help="atom injection rate (units of kappa)")
-        p.add_argument("--dist", choices=("fixed", "exp"), help="interaction-time distribution")
-        p.add_argument("--min", type=float, help="scan lower bound")
-        p.add_argument("--max", type=float, help="scan upper bound")
-        p.add_argument("--steps", type=int, help="number of scan points")
-        p.add_argument("--trunc", type=int, help="Fock truncation override")
-        p.add_argument("--nodes", type=int, help="quadrature node override")
-        p.add_argument("--orders", help="uniform order pairs, e.g. '1,0;3,2;7,6'")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-        p.add_argument("--jobs", type=int, help="parallel workers for scan rows (default 1)")
+        for key, (_, accepted, _, help_text) in _FIELDS.items():
+            if help_text is None:
+                continue
+            if isinstance(accepted, tuple):
+                p.add_argument(f"--{key}", choices=accepted, help=help_text)
+            else:
+                p.add_argument(f"--{key}", type=None if accepted is str else accepted, help=help_text)
 
     p_scan = sub.add_parser("scan-theta", help="linewidth routes vs pump parameter (theta in units of pi)")
     add_common(p_scan)
@@ -409,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fock = sub.add_parser("fock-resolved", help="per-photon-number weights (one block per --g-tau)")
     add_common(p_fock)
-    p_fock.add_argument("--g-tau", dest="g_tau", type=float, action="append",
+    # the curves' list; the g_tau field comes from the config file only
+    p_fock.add_argument("--g-tau", dest="g_taus", metavar="G_TAU", type=float, action="append",
                         help="g*tau; repeat for several curves")
 
     p_spec = sub.add_parser("spectrum", help="correlation function, spectrum and FWHM")
@@ -427,14 +416,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "fock-resolved":
-            g_taus = args.g_tau or []
-            args.g_tau = None
         cfg = _load_config(args)
-        _reject_unread(args.command, cfg)
         if args.command == "fock-resolved":
-            if not g_taus and cfg["g_tau"] is not None:
-                g_taus = [float(cfg["g_tau"])]
+            g_taus = args.g_taus or ([] if cfg["g_tau"] is None else [float(cfg["g_tau"])])
             cmd_fock_resolved(cfg, g_taus)
         elif args.command == "scan-theta":
             cmd_scan_theta(cfg)

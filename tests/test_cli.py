@@ -221,6 +221,86 @@ def test_integer_config_field_rejects_a_float(tmp_path, capsys, field):
     assert field in err["message"]
 
 
+# (command, base config, field, value): argparse checks only the flag route,
+# so each of these reached the arithmetic or the writer unchecked
+BAD_FILE_VALUES = [
+    ("uniform-convergence", {"dist": "exp", "steps": 2}, "format", "xml"),
+    ("uniform-convergence", {"dist": "exp", "steps": 2}, "orders", 5),
+    ("uniform-convergence", {"dist": "exp", "steps": 2}, "out", 7.5),
+    ("uniform-convergence", {"dist": "exp", "steps": 2}, "out", ["x.csv"]),
+    ("spectrum", {"rate": 0.0, "nth": 0.2, "g_tau": 0.5}, "dist", "gauss"),
+]
+
+
+@pytest.mark.parametrize("command, base, field, value", BAD_FILE_VALUES,
+                         ids=[f"{c}-{f}={json.dumps(v)}" for c, _, f, v in BAD_FILE_VALUES])
+def test_config_file_values_are_checked_like_flags(tmp_path, capsys, monkeypatch, command, base, field, value):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({**base, field: value}))
+    assert main([command, "--config", "cfg.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.strip())
+    assert err["error"] == "ConfigError"
+    assert field in err["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("content", ["[]", "5"])
+def test_config_file_must_hold_an_object(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    assert main(["scan-theta", "--rate", "50", "--steps", "1", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--jobs", "0"], {}),
+    (["--jobs", "-4"], {}),
+    ([], {"jobs": 0}),
+], ids=["flag-0", "flag-minus-4", "file-0"])
+def test_jobs_below_one_is_a_config_error(tmp_path, capsys, argv, config):
+    """Fewer than one worker used to run serially and echo the bad value."""
+    argv = ["scan-theta", "--rate", "50", "--steps", "2"] + argv
+    if config:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.strip())
+    assert err["error"] == "ConfigError"
+    assert "jobs" in err["message"]
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, where):
+    out = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+    argv = ["spectrum", "--rate", "0", "--nth", "0.2", "--g-tau", "0.5", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.strip())
+    assert err["error"] == "ConfigError"
+    assert str(out) in err["message"]
+
+
+def test_fock_resolved_reads_g_tau_from_the_config_file(tmp_path):
+    """Without a --g-tau flag the one curve comes from the file's g_tau."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"g_tau": 0.3}))
+    base = ["fock-resolved", "--rate", "50", "--nth", "0.01"]
+    _, from_file = run(tmp_path, base + ["--config", str(cfg)], "file.csv")
+    _, from_flag = run(tmp_path, base + ["--g-tau", "0.3"], "flag.csv")
+    file_meta, _, file_rows = read_csv(from_file)
+    flag_meta, _, flag_rows = read_csv(from_flag)
+    assert file_rows == flag_rows
+    assert (file_meta["config"]["g_tau"], flag_meta["config"]["g_tau"]) == (0.3, None)
+
+
 def test_scan_theta_rejects_zero_g_tau_at_zero_rate(capsys):
     """An explicit g*tau of 0 reaches parameter validation instead of
     being replaced by the default of 1."""
@@ -511,17 +591,22 @@ def test_uniform_convergence_rejects_nodes(capsys):
 SCAN = ["scan-theta", "--rate", "50", "--steps", "1"]
 FOCK = ["fock-resolved", "--rate", "50", "--nth", "0.01", "--g-tau", "0.3"]
 SPECTRUM = ["spectrum", "--rate", "0", "--nth", "0.2", "--g-tau", "0.5"]
+UNIFORM = ["uniform-convergence", "--dist", "exp", "--steps", "2"]
 # (id, argv, config-file fields): each sets one field its command never reads
 UNREAD_OPTIONS = [
     ("scan-theta-nodes", SCAN + ["--nodes", "8"], {}),
     ("scan-theta-orders", SCAN + ["--orders", "1,0"], {}),
     ("scan-theta-g-tau-at-rate", SCAN + ["--g-tau", "0.3"], {}),
     ("scan-theta-scan-key", SCAN, {"scan": "theta"}),
+    ("scan-theta--dist", SCAN + ["--dist", "exp"], {}),
     *[(f"fock-resolved{flag}", FOCK + [flag, value], {}) for flag, value in
-      (("--nodes", "8"), ("--orders", "1,0"), ("--min", "0.1"), ("--max", "1"), ("--steps", "3"), ("--jobs", "2"))],
+      (("--nodes", "8"), ("--orders", "1,0"), ("--min", "0.1"), ("--max", "1"), ("--steps", "3"), ("--jobs", "2"),
+       ("--dist", "exp"))],
     *[(f"spectrum{flag}", SPECTRUM + [flag, value], {}) for flag, value in
       (("--orders", "1,0"), ("--min", "0.1"), ("--max", "1"), ("--steps", "3"), ("--jobs", "2"))],
-    ("uniform-convergence-rate", ["uniform-convergence", "--dist", "exp", "--steps", "2", "--rate", "50"], {}),
+    ("uniform-convergence-rate", UNIFORM + ["--rate", "50"], {}),
+    ("uniform-convergence--nth", UNIFORM + ["--nth", "0.5"], {}),
+    ("uniform-convergence-nth-key", UNIFORM, {"nth": 0.5}),
 ]
 
 

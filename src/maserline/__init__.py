@@ -21,9 +21,7 @@ from .errors import (
     VacuumStateError,
 )
 from .linewidth import (
-    FockResolvedWeights,
     LinewidthBreakdown,
-    fock_resolved_weights,
     linewidth_components,
     linewidth_exp_closed,
     linewidth_exp_scully,
@@ -75,7 +73,6 @@ __all__ = [
     "DiscreteTau",
     "ExponentialTau",
     "FixedTau",
-    "FockResolvedWeights",
     "IntegrationError",
     "LaguerreAverages",
     "LinewidthBreakdown",
@@ -98,7 +95,6 @@ __all__ = [
     "embed_sideband",
     "exp_average_trig",
     "extract_sideband",
-    "fock_resolved_weights",
     "initial_sideband",
     "laguerre_trig_coeffs",
     "linewidth_components",

@@ -41,6 +41,9 @@ _WEIGHT_FLOOR = 1e-300
 # |sinc| below this is treated as an exact trapping zero (n_th = 0 only).
 TRAPPING_SINC_TOL = 1e-15
 
+# node counts of the Gauss-Laguerre refinement ladder
+_LADDER = (8, 16, 32, 64, 128, 256, 512)
+
 
 def exp_average_trig(kind: str, a, b):
     """Average of a product of trigs over the unit-mean exponential measure.
@@ -126,10 +129,8 @@ def refine_until_stable(
     params: MaserParams,
     evaluate: Callable[[TrigAverages], np.ndarray | float],
     rel_tol: float = 1e-8,
-    start: int = 8,
-    max_nodes: int = 512,
 ):
-    """Node-doubling ladder: 8, 16, ..., re-evaluating until stable.
+    """Node-doubling ladder 8, 16, ..., 512, re-evaluating until stable.
 
     ``evaluate`` is called with the families ``TrigAverages.for_params(params, n)``
     of successively finer Gauss-Laguerre rules until two consecutive
@@ -142,18 +143,14 @@ def refine_until_stable(
     ladder is exhausted.
     """
     previous = None
-    n = start
-    while n <= max_nodes:
+    for n in _LADDER:
         value = np.asarray(evaluate(TrigAverages.for_params(params, n)), dtype=float)
         if previous is not None and previous.shape == value.shape:
             scale = max(float(np.max(np.abs(value))), 1e-300)
             if float(np.max(np.abs(value - previous))) <= rel_tol * scale:
                 return value if value.shape else float(value)
         previous = value
-        n *= 2
-    raise QuadratureError(
-        f"node doubling did not stabilize to {rel_tol} within {max_nodes} nodes"
-    )
+    raise QuadratureError(f"node doubling did not stabilize to {rel_tol} within {_LADDER[-1]} nodes")
 
 
 class TrigAverages:

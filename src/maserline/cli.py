@@ -32,12 +32,13 @@ from . import __version__
 from .averages import TrigAverages
 from .errors import ConfigError, MaserlineError, VacuumStateError
 from .linewidth import (
-    fock_resolved_weights,
     linewidth_components,
     linewidth_exp_closed,
     linewidth_exp_scully,
     linewidth_mcgowan,
     linewidth_scully,
+    mcgowan_weights,
+    pump_weights,
     schawlow_townes_ratio,
 )
 from .model import ExponentialTau, FixedTau, MaserParams
@@ -50,7 +51,7 @@ from .regression import (
     spectral_decomposition,
     spectrum_and_fwhm,
 )
-from .steady import steady_state
+from .steady import require_excitation, steady_state
 from .uniform import build_uniform_lindblad, uniform_linewidth
 
 THRESHOLD_THETA_BAR = 1.0 / math.sqrt(2.0)
@@ -128,20 +129,24 @@ def _params_from_config(cfg: dict, g_tau: float | None = None) -> MaserParams:
     g_tau = g_tau if g_tau is not None else cfg["g_tau"]
     if g_tau is None:
         raise ConfigError("g_tau is required (flag --g-tau or config)")
-    dist = FixedTau(1.0) if cfg["dist"] == "fixed" else ExponentialTau(1.0)
+    kappa = float(cfg["kappa"])
     # tau is fixed to one cavity lifetime; g carries the whole product
+    tau = 1.0 / kappa
     return MaserParams(
-        kappa=float(cfg["kappa"]),
+        kappa=kappa,
         n_th=float(cfg["nth"]),
         r=float(cfg["rate"]),
-        g=float(g_tau) * float(cfg["kappa"]),
-        tau_dist=dist.scaled(1.0 / float(cfg["kappa"])),
+        g=float(g_tau) * kappa,
+        tau_dist=FixedTau(tau) if cfg["dist"] == "fixed" else ExponentialTau(tau),
     )
 
 
 def _scan_range(cfg: dict, default_min: float, default_max: float) -> np.ndarray:
     lo = float(cfg["min"]) if cfg["min"] is not None else default_min
     hi = float(cfg["max"]) if cfg["max"] is not None else default_max
+    for key, value in (("min", lo), ("max", hi)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
     steps = int(cfg["steps"])
     if steps < 1:
         raise ConfigError(f"steps must be at least 1, got {steps}")
@@ -252,21 +257,25 @@ def cmd_fock_resolved(cfg: dict, g_taus: list[float]) -> None:
         raise ConfigError("at least one --g-tau is required")
     table: dict[str, list] = {}
     for g_tau in g_taus:
+        # fock-resolved reads no dist: tau is fixed
         params = _params_from_config(cfg, g_tau=g_tau)
-        fw = fock_resolved_weights(params, cfg["trunc"])
+        stats = steady_state(params, cfg["trunc"])
+        cos_w, sin_w = pump_weights(params, stats.N)
+        main = cos_w + sin_w
+        mcgowan = mcgowan_weights(params, stats.N)
         theta = params.theta(params.tau_dist.tau)
-        main_peak = float(np.max(fw.main)) or 1.0
-        mc_peak = float(np.max(np.abs(fw.mcgowan))) or 1.0
-        size = fw.n.size
+        main_peak = float(np.max(main)) or 1.0
+        mc_peak = float(np.max(np.abs(mcgowan))) or 1.0
+        size = stats.N + 1
         block = {
             "g_tau": [g_tau] * size,
             "theta": [theta] * size,
-            "n": fw.n.tolist(),
-            "p_n": fw.p.tolist(),
-            "w_main": fw.main.tolist(),
-            "w_mcgowan": fw.mcgowan.tolist(),
-            "w_main_norm": (fw.main / main_peak).tolist(),
-            "w_mcgowan_norm": (fw.mcgowan / mc_peak).tolist(),
+            "n": list(range(size)),
+            "p_n": stats.p.tolist(),
+            "w_main": main.tolist(),
+            "w_mcgowan": mcgowan.tolist(),
+            "w_main_norm": (main / main_peak).tolist(),
+            "w_mcgowan_norm": (mcgowan / mc_peak).tolist(),
             "status": ["ok"] * size,
         }
         for name, cells in block.items():
@@ -282,6 +291,8 @@ def cmd_spectrum(cfg: dict) -> None:
     # of the generator it is evolved with
     averages = TrigAverages.for_params(params, cfg["nodes"])
     stats = steady_state(params, cfg["trunc"], averages)
+    # a vacuum has no coherence to evolve, on any basis
+    require_excitation(stats)
     gen = build_sideband_generator(params, stats.N, averages)
     v0 = initial_sideband(stats)
     d_slope = linewidth_from_slope(gen, v0)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .averages import TrigAverages, refine_until_stable
 from .model import ExponentialTau, FixedTau, MaserParams
-from .steady import PhotonStatistics, require_excitation, steady_state
+from .steady import PhotonStatistics, require_excitation
 
 
 @dataclass(frozen=True)
@@ -97,34 +97,6 @@ def mcgowan_weights(
     down = 0.25 / (n - 0.5 + np.sqrt(n * np.maximum(n - 1.0, 0.0)))
     up = 0.25 / (n + 0.5 + s * s1)
     return 2.0 * n * (pump + (1.0 + params.n_th) * down + params.n_th * up)
-
-
-@dataclass(frozen=True, eq=False)
-class FockResolvedWeights:
-    """Per-level linewidth weights and the statistics they multiply."""
-
-    n: np.ndarray
-    p: np.ndarray
-    main: np.ndarray
-    mcgowan: np.ndarray
-
-
-def fock_resolved_weights(params: MaserParams, N: int | None = None) -> FockResolvedWeights:
-    """Exact and approximate per-photon-number linewidth weights.
-
-    Requires a fixed interaction time; the weights are returned in units
-    of kappa, before multiplication by p_n.
-    """
-    if not isinstance(params.tau_dist, FixedTau):
-        raise ValueError("fock_resolved_weights requires a fixed interaction time")
-    stats = steady_state(params, N)
-    cos_w, sin_w = pump_weights(params, stats.N)
-    return FockResolvedWeights(
-        n=np.arange(stats.N + 1),
-        p=stats.p,
-        main=cos_w + sin_w,
-        mcgowan=mcgowan_weights(params, stats.N),
-    )
 
 
 def linewidth_components(

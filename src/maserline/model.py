@@ -11,7 +11,7 @@ fixes the unit in which rates (and the linewidth) are expressed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,9 +28,6 @@ class FixedTau:
         if not (self.tau > 0 and math.isfinite(self.tau)):
             raise ValueError(f"interaction time must be positive and finite, got {self.tau}")
 
-    def scaled(self, factor: float) -> "FixedTau":
-        return FixedTau(self.tau * factor)
-
 
 @dataclass(frozen=True)
 class ExponentialTau:
@@ -41,9 +38,6 @@ class ExponentialTau:
     def __post_init__(self):
         if not (self.tau_bar > 0 and math.isfinite(self.tau_bar)):
             raise ValueError(f"mean interaction time must be positive and finite, got {self.tau_bar}")
-
-    def scaled(self, factor: float) -> "ExponentialTau":
-        return ExponentialTau(self.tau_bar * factor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,9 +61,6 @@ class DiscreteTau:
         total = weights.sum()
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"node weights must sum to 1 within {_WEIGHT_SUM_TOL}, got {total!r}")
-
-    def scaled(self, factor: float) -> "DiscreteTau":
-        return DiscreteTau(self.taus * factor, self.weights)
 
 
 InteractionTimeDistribution = FixedTau | ExponentialTau | DiscreteTau
@@ -131,19 +122,3 @@ class MaserParams:
     def theta_bar(self) -> float:
         """Pump parameter sqrt(r/kappa) * g * tau_bar (exponential only)."""
         return math.sqrt(self.n_ex) * self.g_bar
-
-    def canonical(self) -> "MaserParams":
-        """Rescale to kappa = 1: rates divide by kappa, times multiply.
-
-        The products g*tau and the ratio r/kappa are invariant, so any
-        linewidth computed from the canonical record equals the physical
-        one divided by kappa.
-        """
-        k = self.kappa
-        return replace(
-            self,
-            kappa=1.0,
-            r=self.r / k,
-            g=self.g / k,
-            tau_dist=self.tau_dist.scaled(k),
-        )

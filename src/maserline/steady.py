@@ -56,9 +56,10 @@ class PhotonStatistics:
             )
 
     @classmethod
-    def from_probabilities(cls, p, tail_mass_bound: float = 0.0) -> "PhotonStatistics":
+    def from_probabilities(cls, p) -> "PhotonStatistics":
+        """Normalized statistics with nothing beyond the top level (tail bound 0)."""
         p = np.asarray(p, dtype=float)
-        return cls(p / p.sum(), p.size - 1, tail_mass_bound)
+        return cls(p / p.sum(), p.size - 1, 0.0)
 
     @property
     def mean(self) -> float:

@@ -25,6 +25,7 @@ from maserline import (
     steady_state,
 )
 from maserline.cli import main
+from maserline.linewidth import mcgowan_weights, pump_weights
 from maserline.regression import coherence_window
 
 
@@ -301,6 +302,27 @@ def test_fock_resolved_reads_g_tau_from_the_config_file(tmp_path):
     assert (file_meta["config"]["g_tau"], flag_meta["config"]["g_tau"]) == (0.3, None)
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["scan-theta", "--rate", "50", "--steps", "3", "--min", "0", "--max", "inf"], "max"),
+    (["scan-theta", "--rate", "50", "--steps", "1", "--min", "nan"], "min"),
+    (["scan-theta", "--rate", "50", "--steps", "3", "--min=-inf"], "min"),
+    (["uniform-convergence", "--dist", "exp", "--steps", "3", "--max", "inf"], "max"),
+    (["uniform-convergence", "--dist", "exp", "--steps", "1", "--min", "nan"], "min"),
+])
+def test_scan_bounds_must_be_finite(capsys, argv, field):
+    """A non-finite bound is refused before the scan grid is built: one
+    JSON line on stderr, no numpy warning, no output."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    err = json.loads(captured.err)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith(f"{field} must be finite")
+
+
 def test_scan_theta_rejects_zero_g_tau_at_zero_rate(capsys):
     """An explicit g*tau of 0 reaches parameter validation instead of
     being replaced by the default of 1."""
@@ -338,6 +360,26 @@ def test_fock_resolved_two_parameter_sets(tmp_path):
 def test_fock_resolved_needs_g_tau(capsys):
     assert main(["fock-resolved", "--rate", "200", "--nth", "0.1"]) == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+
+
+def test_fock_resolved_cells_are_the_primitives(tmp_path):
+    """Each block is steady_state, pump_weights and mcgowan_weights of its
+    g*tau, cell for cell, on the requested truncation and kappa."""
+    g_taus = (0.5, 1.1)
+    argv = ["fock-resolved", "--rate", "8", "--nth", "0.1", "--kappa", "2", "--trunc", "30", "--format", "json"]
+    code, out = run(tmp_path, argv + [arg for g in g_taus for arg in ("--g-tau", str(g))], "out.json")
+    assert code == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 2 * 31
+    for g_tau, block in zip(g_taus, (rows[:31], rows[31:])):
+        params = MaserParams(kappa=2.0, n_th=0.1, r=8.0, g=g_tau * 2.0, tau_dist=FixedTau(0.5))
+        stats = steady_state(params, 30)
+        cos_w, sin_w = pump_weights(params, 30)
+        assert [row["g_tau"] for row in block] == [g_tau] * 31
+        assert [row["n"] for row in block] == list(range(31))
+        assert [row["p_n"] for row in block] == stats.p.tolist()
+        assert [row["w_main"] for row in block] == (cos_w + sin_w).tolist()
+        assert [row["w_mcgowan"] for row in block] == mcgowan_weights(params, 30).tolist()
 
 
 def test_spectrum_sections_and_header(tmp_path):
@@ -381,6 +423,15 @@ def test_spectrum_nodes_builds_one_consistent_model(tmp_path):
     stats = steady_state(params, None, averages)
     exact = linewidth_components(params, stats, averages).total
     assert meta["D_slope"] == pytest.approx(exact, rel=1e-8)
+
+
+def test_spectrum_of_a_vacuum_is_a_vacuum_state_error(capsys):
+    """The automatic basis of a vacuum is one level, too small for a
+    sideband generator; the refusal names the vacuum."""
+    assert main(["spectrum", "--rate", "0", "--nth", "0", "--g-tau", "0.3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "VacuumStateError"
 
 
 def test_spectrum_nodes_need_an_exponential_tau(capsys):

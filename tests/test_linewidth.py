@@ -16,7 +16,6 @@ from maserline import (
     TrigAverages,
     VacuumStateError,
     build_sideband_generator,
-    fock_resolved_weights,
     initial_sideband,
     linewidth_components,
     linewidth_exp_closed,
@@ -96,19 +95,14 @@ def test_point_and_closed_weights_agree(laser_params):
 
 def test_fock_resolved_consistency(maser_params):
     p = maser_params(2.1, r=200.0, n_th=0.1)
-    fw = fock_resolved_weights(p)
     stats = steady_state(p)
+    cos_w, sin_w = pump_weights(p, stats.N)
     bd = linewidth_components(p, stats)
-    assert fw.p.sum() == pytest.approx(1.0, abs=1e-12)
-    pump_trace = float(fw.p @ fw.main)
+    assert stats.p.sum() == pytest.approx(1.0, abs=1e-12)
+    pump_trace = float(stats.p @ (cos_w + sin_w))
     assert pump_trace == pytest.approx(bd.total * bd.n_mean - p.kappa * p.n_th, rel=1e-12)
-    mc_trace = float(fw.p @ fw.mcgowan)
+    mc_trace = float(stats.p @ mcgowan_weights(p, stats.N))
     assert mc_trace == pytest.approx(linewidth_mcgowan(p, stats) * bd.n_mean, rel=1e-12)
-
-
-def test_fock_resolved_requires_fixed_tau(laser_params):
-    with pytest.raises(ValueError):
-        fock_resolved_weights(laser_params(1.0))
 
 
 def test_undulating_versus_flat_weights(maser_params):
@@ -117,9 +111,11 @@ def test_undulating_versus_flat_weights(maser_params):
     pinned by the pre-freeze oracle run: ~160x)."""
     for theta in (2.1, 2.2):
         p = maser_params(theta, r=200.0, n_th=0.1)
-        fw = fock_resolved_weights(p)
-        window = fw.p > 1e-3 * fw.p.max()
-        assert np.var(fw.mcgowan[window]) <= 0.2 * np.var(fw.main[window])
+        stats = steady_state(p)
+        main = sum(pump_weights(p, stats.N))
+        mcgowan = mcgowan_weights(p, stats.N)
+        window = stats.p > 1e-3 * stats.p.max()
+        assert np.var(mcgowan[window]) <= 0.2 * np.var(main[window])
 
 
 # -- route equivalence -------------------------------------------------------

@@ -55,12 +55,3 @@ def test_g_bar_requires_exponential():
     with pytest.raises(ValueError):
         _ = p.g_bar
 
-
-def test_canonical_preserves_dimensionless_combinations():
-    p = MaserParams(kappa=2.5, n_th=0.2, r=80.0, g=0.7, tau_dist=FixedTau(0.9))
-    c = p.canonical()
-    assert c.kappa == 1.0
-    assert c.n_ex == pytest.approx(p.n_ex, rel=1e-15)
-    assert c.g * c.tau_dist.tau == pytest.approx(p.g * p.tau_dist.tau, rel=1e-15)
-    ce = MaserParams(kappa=4.0, n_th=0.0, r=64.0, g=1.2, tau_dist=ExponentialTau(0.25)).canonical()
-    assert ce.theta_bar == pytest.approx(math.sqrt(16.0) * 0.3, rel=1e-15)

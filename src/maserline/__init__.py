@@ -57,9 +57,7 @@ from .steady import (
 )
 from .uniform import (
     LaguerreAverages,
-    UniformLindbladSet,
     build_uniform_lindblad,
-    laguerre_trig_coeffs,
     uniform_generator,
     uniform_linewidth,
     uniform_steady_state,
@@ -86,7 +84,6 @@ __all__ = [
     "SpectralError",
     "TrigAverages",
     "TruncationError",
-    "UniformLindbladSet",
     "VacuumStateError",
     "auto_truncation",
     "build_sideband_generator",
@@ -96,7 +93,6 @@ __all__ = [
     "exp_average_trig",
     "extract_sideband",
     "initial_sideband",
-    "laguerre_trig_coeffs",
     "linewidth_components",
     "linewidth_exp_closed",
     "linewidth_exp_scully",

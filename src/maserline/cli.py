@@ -10,10 +10,10 @@ Four subcommands emit figure-ready tables:
 Configuration comes from an optional JSON file (--config) with individual
 flags overriding single fields; the fully resolved configuration is echoed
 into every output so runs are reproducible byte for byte.  Config-file
-values are checked like flags, --jobs must be at least 1, and an --out
-that cannot be written exits 2 with a ConfigError.  Output is CSV
-(17 significant digits) or JSON, whose rows list their keys in the CSV
-column order.  Cells are never NaN/Inf: undefined values are left empty in
+values are checked like flags: every number must be finite and every
+count at least 1.  A bad value, or an --out that cannot be written, exits
+2 with a ConfigError.  Output is CSV (17 significant digits) or JSON,
+whose rows list their keys in the CSV column order.  Cells are never NaN/Inf: undefined values are left empty in
 CSV, absent from JSON rows, and flagged in the status column.
 """
 
@@ -84,6 +84,14 @@ _FIELDS = {
 _KINDS = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string")}
 
 
+def _check_range(key: str, accepted, value) -> None:
+    """The one range rule: a float field is finite, an int field at least 1."""
+    if accepted is float and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    if accepted is int and value < 1:
+        raise ConfigError(f"{key} must be at least 1, got {value!r}")
+
+
 def _load_config(args: argparse.Namespace) -> dict:
     """The resolved config: file fields, then flags, each checked against _FIELDS."""
     resolved = {key: field[0] for key, field in _FIELDS.items()}
@@ -111,14 +119,17 @@ def _load_config(args: argparse.Namespace) -> dict:
                 raise ConfigError(f"{key} must be one of {list(accepted)}, got {value!r}")
         elif isinstance(value, bool) or not isinstance(value, _KINDS[accepted][0]):
             raise ConfigError(f"{key} must be {_KINDS[accepted][1]}, got {value!r}")
+        else:
+            _check_range(key, accepted, value)
         # a value the command never reads would be echoed without changing a cell
         if args.command not in readers and value != default:
             raise ConfigError(f"{args.command} does not read {key}; got {value!r}")
+    # fock-resolved's curves, one per repeated --g-tau
+    for g_tau in getattr(args, "g_taus", None) or ():
+        _check_range("g_tau", float, g_tau)
     # every rate is divided by kappa; check it before any arithmetic
-    if not 0.0 < resolved["kappa"] < math.inf:
-        raise ConfigError(f"kappa must be positive and finite, got {resolved['kappa']!r}")
-    if resolved["jobs"] < 1:
-        raise ConfigError(f"jobs must be at least 1, got {resolved['jobs']!r}")
+    if not resolved["kappa"] > 0.0:
+        raise ConfigError(f"kappa must be positive, got {resolved['kappa']!r}")
     if args.command == "uniform-convergence" and resolved["g_tau"] == 0:
         # the scan sets the rate to (theta_bar / g_tau)^2 kappa
         raise ConfigError("uniform-convergence needs g_tau != 0")
@@ -144,12 +155,7 @@ def _params_from_config(cfg: dict, g_tau: float | None = None) -> MaserParams:
 def _scan_range(cfg: dict, default_min: float, default_max: float) -> np.ndarray:
     lo = float(cfg["min"]) if cfg["min"] is not None else default_min
     hi = float(cfg["max"]) if cfg["max"] is not None else default_max
-    for key, value in (("min", lo), ("max", hi)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value!r}")
     steps = int(cfg["steps"])
-    if steps < 1:
-        raise ConfigError(f"steps must be at least 1, got {steps}")
     if steps > 1 and not lo < hi:
         raise ConfigError(f"scan range needs min < max, got [{lo}, {hi}]")
     return np.linspace(lo, hi, steps)
@@ -288,9 +294,10 @@ def cmd_fock_resolved(cfg: dict, g_taus: list[float]) -> None:
 def cmd_spectrum(cfg: dict) -> None:
     params = _params_from_config(cfg)
     # statistics and generator from one family: v0 must be the steady state
-    # of the generator it is evolved with
+    # of the generator it is evolved with.  Without --nodes that family is
+    # the default steady_state uses itself, so the recurrence runs once.
     averages = TrigAverages.for_params(params, cfg["nodes"])
-    stats = steady_state(params, cfg["trunc"], averages)
+    stats = steady_state(params, cfg["trunc"], averages if cfg["nodes"] is not None else None)
     # a vacuum has no coherence to evolve, on any basis
     require_excitation(stats)
     gen = build_sideband_generator(params, stats.N, averages)
@@ -353,8 +360,7 @@ def _uniform_row(task) -> dict:
         row["status"] = "vacuum"
         return row
     for order_pair in orders:
-        uset = build_uniform_lindblad(params, order_pair, N=stats.N)
-        row[f"D_order_{order_pair[0]}"] = uniform_linewidth(uset)
+        row[f"D_order_{order_pair[0]}"] = uniform_linewidth(params, build_uniform_lindblad(params, order_pair), stats.N)
     return row
 
 
@@ -365,6 +371,13 @@ def cmd_uniform_convergence(cfg: dict) -> None:
         cfg = dict(cfg, g_tau=0.3)
     orders = _parse_orders(cfg["orders"])
     theta_bars = _scan_range(cfg, 0.2, 3.0)
+    # each row sets the rate to (theta_bar / g_tau)^2 kappa; refuse a scan
+    # whose largest rate overflows before any row runs
+    with np.errstate(over="ignore"):
+        top_rate = (np.max(np.abs(theta_bars)) / float(cfg["g_tau"])) ** 2 * float(cfg["kappa"])
+    if not np.isfinite(top_rate):
+        raise ConfigError(f"g_tau={cfg['g_tau']!r} puts the largest scan rate (theta_bar / g_tau)^2 kappa "
+                          "beyond the float range")
     columns = ["theta_bar", "n_mean", "D_exact", "D_exp_scully"]
     columns += [f"D_order_{o[0]}" for o in orders] + ["status"]
     tasks = [(cfg, tb, orders) for tb in theta_bars]

@@ -35,14 +35,12 @@ by the generic builders, not a separate set of builders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .averages import TrigAverages
 from .model import ExponentialTau, MaserParams
 from .regression import SidebandGenerator, build_sideband_generator, initial_sideband, linewidth_from_slope
-from .steady import PhotonStatistics, auto_truncation, steady_state
+from .steady import PhotonStatistics, steady_state
 
 
 def _laguerre_powers(x: np.ndarray, order: int) -> np.ndarray:
@@ -60,20 +58,6 @@ def _laguerre_powers(x: np.ndarray, order: int) -> np.ndarray:
         out[k] = current
         current = current * ratio
     return out
-
-
-def laguerre_trig_coeffs(x, kind: str, order: int) -> np.ndarray:
-    """Coefficients c_k(x), k = 0..order, of trig(x t) in orthonormal
-    Laguerre polynomials of the unit-mean exponential measure.
-
-    Returns an array of shape (order+1,) + shape(x).
-    """
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
-    if kind not in ("cos", "sin"):
-        raise ValueError(f"kind must be 'cos' or 'sin', got {kind!r}")
-    z = _laguerre_powers(np.asarray(x, dtype=float), order)
-    return z.real.copy() if kind == "cos" else z.imag.copy()
 
 
 class LaguerreAverages(TrigAverages):
@@ -134,60 +118,39 @@ class LaguerreAverages(TrigAverages):
         return [(1.0, c, False) for c in cos] + [(1.0, s / phi, True) for s in sin]
 
 
-@dataclass(frozen=True, eq=False)
-class UniformLindbladSet:
-    """The truncated model: family of averages, parameters, basis size N."""
-
-    averages: LaguerreAverages
-    params: MaserParams
-    N: int
-
-
-def build_uniform_lindblad(
-    params: MaserParams,
-    orders: tuple[int, int],
-    N: int | None = None,
-) -> UniformLindbladSet:
-    """Assemble the truncated jump families for given (order_sin, order_cos).
+def build_uniform_lindblad(params: MaserParams, orders: tuple[int, int]) -> LaguerreAverages:
+    """The truncated family for given (order_sin, order_cos).
 
     The pairing keeps the sine family one degree ahead of the cosine
     family with an odd sine order, e.g. (1, 0), (3, 2), (7, 6); any other
     raises ``ValueError``.  Another pairing is a
     ``LaguerreAverages(g, g_bar, order_sin, order_cos)`` family built
-    directly and passed to the generic builders.  Without ``N`` the basis
-    is the truncation :func:`auto_truncation` accepts for the exact model.
+    directly and passed to the generic builders.
     """
     if not isinstance(params.tau_dist, ExponentialTau):
         raise ValueError("the uniform approximation applies to exponential distributions")
     order_sin, order_cos = orders
     if order_sin < 1 or order_sin % 2 == 0 or order_cos != order_sin - 1:
         raise ValueError(f"orders {orders} violate the (odd sine, sine-1 cosine) pairing")
-    if N is None:
-        N = auto_truncation(params).N
-    averages = LaguerreAverages(params.g, params.g_bar, order_sin, order_cos)
-    return UniformLindbladSet(averages, params, N)
+    return LaguerreAverages(params.g, params.g_bar, order_sin, order_cos)
 
 
-def uniform_steady_state(uset: UniformLindbladSet) -> PhotonStatistics:
+def uniform_steady_state(params: MaserParams, averages: LaguerreAverages, N: int) -> PhotonStatistics:
     """Stationary statistics of the truncated model (its own detailed balance):
 
         (1 + n_th) p_{n+1} = [ n_th + n_ex sum_k ck_sin^2 / (n+1) ] p_n
     """
-    return steady_state(uset.params, uset.N, uset.averages)
+    return steady_state(params, N, averages)
 
 
-def uniform_generator(uset: UniformLindbladSet) -> SidebandGenerator:
+def uniform_generator(params: MaserParams, averages: LaguerreAverages, N: int) -> SidebandGenerator:
     """Coherence-sector generator of the truncated model."""
-    return build_sideband_generator(uset.params, uset.N, uset.averages)
+    return build_sideband_generator(params, N, averages)
 
 
-def uniform_linewidth(uset: UniformLindbladSet, stats: PhotonStatistics | None = None) -> float:
-    """Linewidth of the truncated model from the initial-slope formula.
-
-    By default the truncated model's own steady state seeds the slope;
-    ``stats`` substitutes any other statistics on the same truncation.
-    """
-    if stats is None:
-        stats = uniform_steady_state(uset)
-    gen = uniform_generator(uset)
+def uniform_linewidth(params: MaserParams, averages: LaguerreAverages, N: int) -> float:
+    """Linewidth of the truncated model on levels 0..N from the initial-slope
+    formula, seeded by the truncated model's own steady state."""
+    stats = uniform_steady_state(params, averages, N)
+    gen = uniform_generator(params, averages, N)
     return linewidth_from_slope(gen, initial_sideband(stats))

@@ -295,8 +295,8 @@ def test_criterion_10_uniform_convergence():
             p = laser(theta_bar)
             stats = steady_state(p)
             d_exact = linewidth_exp_closed(p, stats)
-            uset = build_uniform_lindblad(p, orders, N=stats.N)
-            err = abs(uniform_linewidth(uset) - d_exact) / d_exact
+            d_order = uniform_linewidth(p, build_uniform_lindblad(p, orders), stats.N)
+            err = abs(d_order - d_exact) / d_exact
             errs.append(err)
             if orders == (7, 6) and theta_bar <= 1.5:
                 err_up_to_15 = max(err_up_to_15, err)
@@ -328,8 +328,7 @@ def test_criterion_10_breakdown_scaling():
     exact = cos_w + sin_w
     measured = {}
     for orders in [(1, 0), (3, 2), (7, 6)]:
-        uset = build_uniform_lindblad(p, orders, N=n_levels)
-        u_cos, u_sin = pump_weights(p, n_levels, uset.averages)
+        u_cos, u_sin = pump_weights(p, n_levels, build_uniform_lindblad(p, orders))
         rel = np.abs((u_cos + u_sin) - exact) / exact
         good = np.where(rel <= 0.05)[0]
         n_star = int(good.max()) + 1 if good.size else 0

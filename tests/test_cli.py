@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import maserline.cli
+import maserline.steady
 from maserline import (
     ExponentialTau,
     FixedTau,
@@ -16,6 +17,7 @@ from maserline import (
     SpectralError,
     TrigAverages,
     build_sideband_generator,
+    build_uniform_lindblad,
     correlate,
     initial_sideband,
     linewidth_components,
@@ -23,6 +25,7 @@ from maserline import (
     spectral_decomposition,
     spectrum_and_fwhm,
     steady_state,
+    uniform_linewidth,
 )
 from maserline.cli import main
 from maserline.linewidth import mcgowan_weights, pump_weights
@@ -323,6 +326,42 @@ def test_scan_bounds_must_be_finite(capsys, argv, field):
     assert err["message"].startswith(f"{field} must be finite")
 
 
+# (argv, config-file text, message start): every float field is finite and
+# every int field at least 1, from a flag or the file
+OUT_OF_RANGE = [
+    (["scan-theta", "--rate", "nan", "--steps", "1"], None, "rate must be finite"),
+    (["spectrum", "--rate", "50", "--nth", "inf", "--g-tau", "0.3"], None, "nth must be finite"),
+    (["fock-resolved", "--rate", "50", "--g-tau", "nan"], None, "g_tau must be finite"),
+    (["fock-resolved", "--rate", "50", "--g-tau", "0.3", "--g-tau=-inf"], None, "g_tau must be finite"),
+    (["uniform-convergence", "--dist", "exp", "--steps", "2", "--g-tau", "nan"], None, "g_tau must be finite"),
+    (["spectrum", "--rate", "50", "--g-tau", "0.3"], '{"nth": Infinity}', "nth must be finite"),
+    (["scan-theta", "--rate", "50", "--steps", "1", "--trunc", "0"], None, "trunc must be at least 1"),
+    (["scan-theta", "--rate", "50", "--steps", "1", "--trunc", "-3"], None, "trunc must be at least 1"),
+    (["spectrum", "--rate", "50", "--dist", "exp", "--g-tau", "0.3"], '{"nodes": 0}', "nodes must be at least 1"),
+    (["scan-theta", "--rate", "50"], '{"steps": 0}', "steps must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("argv, config, message", OUT_OF_RANGE,
+                         ids=[f"{a[0]}-{m.split()[0]}-{i}" for i, (a, _, m) in enumerate(OUT_OF_RANGE)])
+def test_config_values_out_of_range_are_config_errors(tmp_path, capsys, argv, config, message):
+    """Each of these reached MaserParams or the truncation as an untyped
+    ValueError; the range rule names the field before any arithmetic."""
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    err = json.loads(captured.err)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith(message)
+
+
 def test_scan_theta_rejects_zero_g_tau_at_zero_rate(capsys):
     """An explicit g*tau of 0 reaches parameter validation instead of
     being replaced by the default of 1."""
@@ -448,7 +487,25 @@ def test_spectrum_nodes_need_an_exponential_tau(capsys):
 def test_spectrum_rejects_nonpositive_nodes(capsys, nodes):
     argv = ["spectrum", "--rate", "50", "--dist", "exp", "--g-tau", "0.3", "--nodes", nodes]
     assert main(argv) == 2
-    assert json.loads(capsys.readouterr().err.strip())["error"] == "ValueError"
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("extra, calls", [([], 1), (["--dist", "exp", "--nodes", "16"], 2)],
+                         ids=["default-family", "nodes"])
+def test_spectrum_evaluates_the_recurrence_once_per_family(tmp_path, monkeypatch, extra, calls):
+    """The truncation search evaluates the recurrence with the default
+    family; only a --nodes rule needs it again on the chosen basis."""
+    seen = []
+    original = maserline.steady.recurrence_ratios
+
+    def counted(*args):
+        seen.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(maserline.steady, "recurrence_ratios", counted)
+    code, _ = run(tmp_path, ["spectrum", "--rate", "50", "--nth", "0.01", "--g-tau", "0.35"] + extra)
+    assert code == 0
+    assert len(seen) == calls
 
 
 def _full_basis_spectrum(params, averages):
@@ -703,6 +760,40 @@ def test_uniform_convergence_rejects_zero_g_tau(capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigError"
     assert "g_tau" in err["message"]
+
+
+def test_uniform_convergence_refuses_an_overflowing_rate(capsys):
+    """At g_tau = 1e-200 the scan's rate (theta_bar / g_tau)^2 kappa
+    overflows; the scan is refused before its first row, without numpy's
+    overflow warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["uniform-convergence", "--dist", "exp", "--steps", "2", "--g-tau", "1e-200"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    err = json.loads(captured.err)
+    assert err["error"] == "ConfigError"
+    assert "g_tau" in err["message"]
+
+
+@pytest.mark.parametrize("kappa", [1.0, 2.0])
+def test_uniform_convergence_cells_are_the_uniform_linewidth(tmp_path, kappa):
+    """Each D_order_<k> cell is uniform_linewidth of the pair's family on
+    the exact model's truncation, exactly."""
+    argv = ["uniform-convergence", "--dist", "exp", "--orders", "1,0;5,4", "--min", "0.5",
+            "--max", "2.5", "--steps", "4", "--format", "json", "--kappa", repr(kappa)]
+    code, out = run(tmp_path, argv, "out.json")
+    assert code == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["status"] for row in rows] == ["below-threshold", "ok", "ok", "ok"]
+    for row in rows:
+        theta_bar = np.float64(row["theta_bar"])
+        params = MaserParams(kappa=kappa, n_th=0.0, r=(theta_bar / 0.3) ** 2 * kappa, g=0.3 * kappa,
+                             tau_dist=ExponentialTau(1.0 / kappa))
+        N = steady_state(params).N
+        for pair in ((1, 0), (5, 4)):
+            assert row[f"D_order_{pair[0]}"] == uniform_linewidth(params, build_uniform_lindblad(params, pair), N)
 
 
 def test_kappa_units_propagate(tmp_path):

@@ -17,8 +17,9 @@ from maserline import (
     build_sideband_generator,
     build_uniform_lindblad,
     exp_average_trig,
-    laguerre_trig_coeffs,
+    initial_sideband,
     linewidth_exp_closed,
+    linewidth_from_slope,
     quadrature_nodes,
     steady_state,
     uniform_generator,
@@ -31,17 +32,21 @@ from maserline.linewidth import jump_operator_matrices, pump_weights
 # -- coefficient family -------------------------------------------------------
 
 
+def coeffs(x, order):
+    """Cosine and sine coefficient tables k = 0..order at x, as the
+    builders read them from a unit-g_bar family."""
+    return LaguerreAverages(1.0, 1.0, order, order)._tables(x)
+
+
 def test_coeffs_at_zero_argument():
-    cos = laguerre_trig_coeffs(0.0, "cos", 5)
-    sin = laguerre_trig_coeffs(0.0, "sin", 5)
+    cos, sin = coeffs(0.0, 5)
     np.testing.assert_array_equal(cos, [1, 0, 0, 0, 0, 0])
     np.testing.assert_array_equal(sin, np.zeros(6))
 
 
 def test_lowest_order_closed_forms():
     x = np.array([0.3, 1.0, 3.0])
-    cos = laguerre_trig_coeffs(x, "cos", 1)
-    sin = laguerre_trig_coeffs(x, "sin", 1)
+    cos, sin = coeffs(x, 1)
     np.testing.assert_allclose(cos[0], 1.0 / (1.0 + x**2), rtol=1e-14)
     np.testing.assert_allclose(sin[0], x / (1.0 + x**2), rtol=1e-14)
     # degree 1 from the generating transform: -ix/(1-ix)^2
@@ -52,7 +57,7 @@ def test_lowest_order_closed_forms():
 @pytest.mark.parametrize("x", [0.3, 1.0, 3.0])
 @pytest.mark.parametrize("kind,f", [("cos", math.cos), ("sin", math.sin)])
 def test_coeffs_against_adaptive_quadrature(x, kind, f):
-    got = laguerre_trig_coeffs(x, kind, 4)
+    got = coeffs(x, 4)[0 if kind == "cos" else 1]
     for k in range(5):
         expected = quad(
             lambda t: math.exp(-t) * eval_laguerre(k, t) * f(x * t), 0.0, 80.0, limit=500
@@ -64,8 +69,7 @@ def test_coeffs_against_adaptive_quadrature(x, kind, f):
 def test_parseval_monotone_from_below(x):
     # the tail decays like (x^2/(1+x^2))^order, so order 400 leaves
     # less than 1e-18 even at x = 3
-    for kind in ("cos", "sin"):
-        c = laguerre_trig_coeffs(x, kind, 400)
+    for kind, c in zip(("cos", "sin"), coeffs(x, 400)):
         partial = np.cumsum(c**2)
         target = exp_average_trig(f"{kind}_{kind}", x, x)
         assert np.all(np.diff(partial) >= 0.0)
@@ -85,7 +89,7 @@ def test_polynomial_family_is_orthonormal():
 def test_weak_coupling_coefficients():
     # sin family at small x: degree 0 and 1 both reduce to +/- x
     x = 1e-6
-    sin = laguerre_trig_coeffs(x, "sin", 1)
+    sin = coeffs(x, 1)[1]
     assert sin[0] == pytest.approx(x, rel=1e-9)
     assert sin[1] == pytest.approx(-x, rel=1e-9)
 
@@ -119,9 +123,9 @@ def test_gain_converges_to_exact_with_order():
     exact = 2.0 * p.g_bar**2 / (1.0 + 4.0 * p.g_bar**2 * (n + 1.0)) * (n + 1.0)
     previous = None
     for order in (1, 3, 7, 15):
-        uset = build_uniform_lindblad(p, (order, order - 1), N=40)
+        fam = build_uniform_lindblad(p, (order, order - 1))
         s1 = np.sqrt(n + 1.0)
-        err = np.max(np.abs(uset.averages.sin_sin(s1, s1) - exact) / exact)
+        err = np.max(np.abs(fam.sin_sin(s1, s1) - exact) / exact)
         if previous is not None:
             assert err < previous
         previous = err
@@ -134,15 +138,14 @@ def test_truncated_statistics_positive_and_close_to_exact():
     for theta_bar, tol in ((0.8, 0.02), (1.2, 0.02), (1.6, 0.02), (2.0, 0.05)):
         p = laser(theta_bar)
         exact = steady_state(p)
-        uset = build_uniform_lindblad(p, (7, 6), N=exact.N)
-        stats = uniform_steady_state(uset)
+        stats = uniform_steady_state(p, build_uniform_lindblad(p, (7, 6)), exact.N)
         assert np.all(stats.p >= 0.0)
         assert abs(stats.mean - exact.mean) / exact.mean < tol
 
 
 def test_trace_preservation_under_truncated_set():
-    uset = build_uniform_lindblad(laser(1.0), (3, 2), N=80)
-    dense = DenseLindblad(jump_operator_matrices(uset.params, uset.N + 1, averages=uset.averages))
+    p = laser(1.0)
+    dense = DenseLindblad(jump_operator_matrices(p, 81, averages=build_uniform_lindblad(p, (3, 2))))
     p0 = np.exp(-np.arange(81.0) / 6.0)
     rho0 = np.diag(p0 / p0.sum())
     states = dense.evolve(rho0, np.linspace(0.0, 10.0, 5), rtol=1e-12)
@@ -155,19 +158,21 @@ def test_uniform_slope_equals_detailed_balance_weights():
     route must reproduce the Fock-resolved weight trace exactly."""
     for theta_bar, n_th in ((1.0, 0.0), (2.0, 0.0)):
         p = laser(theta_bar, n_th=n_th)
-        uset = build_uniform_lindblad(p, (3, 2))
-        stats = uniform_steady_state(uset)
-        d_slope = uniform_linewidth(uset, stats)
-        cos_w, sin_w = pump_weights(p, uset.N, uset.averages)
+        fam = build_uniform_lindblad(p, (3, 2))
+        N = steady_state(p).N
+        stats = uniform_steady_state(p, fam, N)
+        d_slope = uniform_linewidth(p, fam, N)
+        cos_w, sin_w = pump_weights(p, N, fam)
         d_weights = (n_th + float(stats.p @ (cos_w + sin_w))) / stats.mean
         assert d_slope == pytest.approx(d_weights, rel=1e-12)
 
 
 def test_uniform_generator_matches_dense_oracle():
     rng = np.random.default_rng(31)
-    uset = build_uniform_lindblad(laser(1.0), (3, 2), N=40)
-    gen = uniform_generator(uset)
-    dense = DenseLindblad(jump_operator_matrices(uset.params, uset.N + 1, averages=uset.averages))
+    p = laser(1.0)
+    fam = build_uniform_lindblad(p, (3, 2))
+    gen = uniform_generator(p, fam, 40)
+    dense = DenseLindblad(jump_operator_matrices(p, 41, averages=fam))
     from maserline import embed_sideband, extract_sideband, offsector_mass
 
     v = rng.standard_normal(40)
@@ -182,8 +187,8 @@ def test_linewidth_error_shrinks_with_order_at_strong_pump():
     d_exact = linewidth_exp_closed(p, exact_stats)
     errors = []
     for orders in ((1, 0), (3, 2), (7, 6)):
-        uset = build_uniform_lindblad(p, orders)
-        errors.append(abs(uniform_linewidth(uset) - d_exact) / d_exact)
+        d_order = uniform_linewidth(p, build_uniform_lindblad(p, orders), exact_stats.N)
+        errors.append(abs(d_order - d_exact) / d_exact)
     assert errors[0] > errors[1] > errors[2]
 
 
@@ -191,9 +196,10 @@ def test_order_seven_tracks_exact_near_threshold():
     # oracle-pinned: 0.3% at theta_bar = 1, worst 4.6% for theta_bar <= 1.5
     for theta_bar in (0.8, 1.0, 1.25, 1.5):
         p = laser(theta_bar)
-        d_exact = linewidth_exp_closed(p, steady_state(p))
-        uset = build_uniform_lindblad(p, (7, 6))
-        assert abs(uniform_linewidth(uset) - d_exact) / d_exact < 0.10
+        stats = steady_state(p)
+        d_exact = linewidth_exp_closed(p, stats)
+        d_order = uniform_linewidth(p, build_uniform_lindblad(p, (7, 6)), stats.N)
+        assert abs(d_order - d_exact) / d_exact < 0.10
 
 
 def test_admissible_pump_range_grows_with_order():
@@ -203,8 +209,9 @@ def test_admissible_pump_range_grows_with_order():
 
     def error_at(theta_bar, orders):
         p = laser(theta_bar)
-        d_exact = linewidth_exp_closed(p, steady_state(p))
-        return abs(uniform_linewidth(build_uniform_lindblad(p, orders)) - d_exact) / d_exact
+        stats = steady_state(p)
+        d_exact = linewidth_exp_closed(p, stats)
+        return abs(uniform_linewidth(p, build_uniform_lindblad(p, orders), stats.N) - d_exact) / d_exact
 
     crossings = []
     for orders in ((1, 0), (3, 2), (7, 6)):
@@ -222,9 +229,10 @@ def test_admissible_pump_range_grows_with_order():
 
 def test_exact_statistics_flag():
     p = laser(2.0)
-    uset = build_uniform_lindblad(p, (3, 2))
-    self_consistent = uniform_linewidth(uset)
-    with_exact = uniform_linewidth(uset, stats=steady_state(p, uset.N))
+    fam = build_uniform_lindblad(p, (3, 2))
+    N = steady_state(p).N
+    self_consistent = uniform_linewidth(p, fam, N)
+    with_exact = linewidth_from_slope(uniform_generator(p, fam, N), initial_sideband(steady_state(p, N)))
     assert math.isfinite(with_exact)
     assert with_exact != self_consistent
 
@@ -233,11 +241,11 @@ def test_weak_coupling_gain_operator_reduces_to_laser_form():
     # orders (1, 0) at g_bar -> 0: the sine-family jump operators reduce
     # to +/- sqrt(r) g_bar adag, i.e. the weak-coupling laser gain
     p = laser(0.5, g_bar=1e-5)
-    uset = build_uniform_lindblad(p, (1, 0), N=30)
+    fam = build_uniform_lindblad(p, (1, 0))
     phi = np.sqrt(np.arange(1.0, 32.0))
     # row m+1 of the band sqrt(r) adag ck_sin(gb phi)/phi holds sqrt(r) ck_sin(gb phi_m),
     # so one extra level gives the values at every phi_m
-    ops = jump_operator_matrices(p, phi.size + 1, averages=uset.averages)
+    ops = jump_operator_matrices(p, phi.size + 1, averages=fam)
     sine = [L.values[1:] / math.sqrt(p.r) for L in ops[1:] if L.k == -1]
     assert len(sine) == 2
     np.testing.assert_allclose(sine[0] / (p.g_bar * phi), 1.0, rtol=1e-8)
@@ -275,5 +283,5 @@ def test_anticommutator_norm_per_family():
     fixed = MaserParams(1.0, 0.01, 50.0, 0.4, FixedTau(1.0))
     for family in (TrigAverages.for_params(exp), TrigAverages.for_params(exp, 16), TrigAverages.for_params(fixed)):
         assert family.anticommutator_norm(s) == 1.0
-    laguerre = build_uniform_lindblad(exp, (3, 2), N=58).averages
+    laguerre = build_uniform_lindblad(exp, (3, 2))
     assert np.all(laguerre.anticommutator_norm(s) < 1.0)

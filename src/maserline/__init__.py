@@ -9,7 +9,7 @@ approximations, plus a uniform few-operator approximation for broadly
 distributed interaction times.
 """
 
-from .averages import TrigAverages, exp_average_trig, quadrature_nodes, refine_until_stable
+from .averages import TrigAverages, quadrature_nodes, refine_until_stable
 from .errors import (
     ConfigError,
     IntegrationError,
@@ -90,7 +90,6 @@ __all__ = [
     "build_uniform_lindblad",
     "correlate",
     "embed_sideband",
-    "exp_average_trig",
     "extract_sideband",
     "initial_sideband",
     "linewidth_components",

@@ -2,12 +2,15 @@
 
 The pump terms of the master equation only ever enter through averages of
 the form ``<trig(g tau x) trig(g tau y)>_tau`` where x, y are square roots
-of photon numbers.  Three evaluation modes cover the supported
-distributions:
+of photon numbers.  Each family of averages is a :class:`TrigAverages`
+instance, built from the Rabi angles it reads; three evaluation modes
+cover the supported distributions:
 
-* point mass / node list: plain weighted products,
-* exponential: closed rational forms in ``a = g tau_bar x``,
-  ``b = g tau_bar y`` (unit-mean exponential measure in t = tau/tau_bar):
+* point mass / node list: plain weighted products over the Rabi angles
+  ``g tau_k`` and their weights,
+* exponential: closed rational forms, held as ``g_bar = g tau_bar``, in
+  ``a = g_bar x``, ``b = g_bar y`` (unit-mean exponential measure in
+  t = tau/tau_bar):
 
   .. math::
 
@@ -45,38 +48,6 @@ TRAPPING_SINC_TOL = 1e-15
 _LADDER = (8, 16, 32, 64, 128, 256, 512)
 
 
-def exp_average_trig(kind: str, a, b):
-    """Average of a product of trigs over the unit-mean exponential measure.
-
-    Evaluates ``int_0^inf exp(-t) trig(a t) trig(b t) dt`` exactly as a
-    rational function of ``a`` and ``b``.
-
-    Parameters
-    ----------
-    kind:
-        ``"cos_cos"`` or ``"sin_sin"`` (first trig takes ``a``, second
-        takes ``b``).
-    a, b:
-        Dimensionless frequency-time products; scalars or arrays.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("exp_average_trig requires finite arguments")
-    dm = a - b
-    dp = a + b
-    one_m = 1.0 + dm * dm
-    one_p = 1.0 + dp * dp
-    if kind == "cos_cos":
-        out = 0.5 * (1.0 / one_m + 1.0 / one_p)
-    elif kind == "sin_sin":
-        # product form: no cancellation for a ~ b
-        out = 2.0 * a * b / (one_m * one_p)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return out if out.shape else float(out)
-
-
 def _gauss_laguerre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Golub-Welsch rule for the weight exp(-x) on [0, inf).
 
@@ -85,8 +56,6 @@ def _gauss_laguerre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     squared first eigenvector component (the measure has unit mass).
     Stable at large n where upstream recurrence evaluations overflow.
     """
-    if n_nodes == 1:
-        return np.array([1.0]), np.array([1.0])
     k = np.arange(n_nodes, dtype=float)
     try:
         x, q = eigh_tridiagonal(2.0 * k + 1.0, k[1:])
@@ -157,8 +126,9 @@ class TrigAverages:
     """Averages <trig(g tau x) trig(g tau y)> for one parameter record.
 
     Instances are immutable and safe to share.  ``x``/``y`` arguments are
-    the sqrt-photon-number factors; the Rabi frequency and the
-    distribution are folded in at construction.
+    the sqrt-photon-number factors.  A node list is held as its Rabi
+    angles ``gtaus`` = g*tau_k and ``weights``; the closed form as
+    ``g_bar`` = g*tau_bar.
 
     An instance is one family of tau averages: a node list (point mass,
     discrete list, Gauss-Laguerre rule) or the closed exponential form.
@@ -167,19 +137,12 @@ class TrigAverages:
     truncated Laguerre sums of :mod:`maserline.uniform`) overrides them.
     """
 
-    def __init__(self, g: float, *, taus=None, weights=None, g_bar: float | None = None):
-        if (taus is None) == (g_bar is None):
+    def __init__(self, *, gtaus=None, weights=None, g_bar: float | None = None):
+        if (gtaus is None) == (g_bar is None):
             raise ValueError("exactly one of node list or g_bar must be given")
-        self._g = float(g)
-        if taus is not None:
-            self._taus = np.asarray(taus, dtype=float)
-            self._gtaus = self._g * self._taus
-            self._weights = np.asarray(weights, dtype=float)
-            self._g_bar = None
-        else:
-            self._gtaus = None
-            self._weights = None
-            self._g_bar = float(g_bar)
+        self._gtaus = None if gtaus is None else np.asarray(gtaus, dtype=float)
+        self._weights = None if gtaus is None else np.asarray(weights, dtype=float)
+        self._g_bar = None if g_bar is None else float(g_bar)
 
     @classmethod
     def for_params(cls, params: MaserParams, n_nodes: int | None = None) -> "TrigAverages":
@@ -194,11 +157,11 @@ class TrigAverages:
         dist = params.tau_dist
         if isinstance(dist, ExponentialTau):
             if n_nodes is None:
-                return cls(params.g, g_bar=params.g_bar)
+                return cls(g_bar=params.g_bar)
         elif n_nodes is not None:
             raise ValueError(f"{type(dist).__name__} has its own nodes; n_nodes={n_nodes} selects no rule")
         nodes = quadrature_nodes(dist, 1 if n_nodes is None else n_nodes)
-        return cls(params.g, taus=nodes.taus, weights=nodes.weights)
+        return cls(gtaus=params.g * nodes.taus, weights=nodes.weights)
 
     @property
     def point_data(self) -> tuple[np.ndarray, np.ndarray]:
@@ -214,12 +177,21 @@ class TrigAverages:
 
     def cos_cos(self, x, y):
         if self._gtaus is None:
-            return exp_average_trig("cos_cos", self._g_bar * np.asarray(x, float), self._g_bar * np.asarray(y, float))
+            a = self._g_bar * np.asarray(x, dtype=float)
+            b = self._g_bar * np.asarray(y, dtype=float)
+            dm = a - b
+            dp = a + b
+            return 0.5 * (1.0 / (1.0 + dm * dm) + 1.0 / (1.0 + dp * dp))
         return np.tensordot(self._weights, np.cos(self._outer(x)) * np.cos(self._outer(y)), axes=(0, 0))
 
     def sin_sin(self, x, y):
         if self._gtaus is None:
-            return exp_average_trig("sin_sin", self._g_bar * np.asarray(x, float), self._g_bar * np.asarray(y, float))
+            a = self._g_bar * np.asarray(x, dtype=float)
+            b = self._g_bar * np.asarray(y, dtype=float)
+            dm = a - b
+            dp = a + b
+            # product form: no cancellation for a ~ b
+            return 2.0 * a * b / ((1.0 + dm * dm) * (1.0 + dp * dp))
         return np.tensordot(self._weights, np.sin(self._outer(x)) * np.sin(self._outer(y)), axes=(0, 0))
 
     def anticommutator_norm(self, s):
@@ -318,8 +290,8 @@ class TrigAverages:
         set and raises ``ValueError``."""
         gtaus, weights = self.point_data
         ops = []
-        for gtau, tau, dp in zip(gtaus, self._taus, weights):
+        for gtau, dp in zip(gtaus, weights):
             arg = gtau * phi
             ops.append((dp, np.cos(arg), False))
-            ops.append((dp, np.sinc(arg / np.pi) * self._g * tau, True))
+            ops.append((dp, np.sinc(arg / np.pi) * gtau, True))
         return ops

@@ -101,6 +101,16 @@ class MaserParams:
             raise ValueError(f"g must be positive and finite, got {self.g}")
         if not isinstance(self.tau_dist, (FixedTau, ExponentialTau, DiscreteTau)):
             raise TypeError(f"unsupported interaction-time distribution: {self.tau_dist!r}")
+        # tau is the fixed tau, the mean or the largest node
+        dist = self.tau_dist
+        if isinstance(dist, DiscreteTau):
+            tau = float(dist.taus.max())
+        else:
+            tau = dist.tau if isinstance(dist, FixedTau) else dist.tau_bar
+        angle2 = (self.g * tau) * (self.g * tau)
+        pump = self.n_ex * angle2
+        if not (math.isfinite(angle2) and math.isfinite(pump)):
+            raise ValueError(f"(g*tau)^2 and r/kappa*(g*tau)^2 must be finite, got {angle2!r} and {pump!r}")
 
     @property
     def n_ex(self) -> float:

@@ -42,10 +42,10 @@ class PhotonStatistics:
         object.__setattr__(self, "p", p)
         if p.ndim != 1 or p.size != self.N + 1:
             raise ValueError("p must be a 1-d array of length N + 1")
-        if np.any(p < 0):
+        if not np.all(p >= 0):
             raise ValueError("probabilities must be non-negative")
         total = p.sum()
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise ValueError(f"probabilities must sum to 1 within {NORMALIZATION_TOL}, got {total!r}")
         top = p[-1]
         # tail_mass_bound == 0 marks exact trapping-state support (nothing
@@ -173,11 +173,14 @@ def auto_truncation(params: MaserParams) -> PhotonStatistics:
         needed = math.ceil(-12.0 * math.log(10.0) / math.log(q)) if q > 0 else 1
         candidate = max(50, 2 * needed)
     elif isinstance(params.tau_dist, ExponentialTau):
-        crossing = (2.0 * params.theta_bar**2 - 1.0) / (4.0 * params.g_bar**2)
-        candidate = math.ceil(4.0 * max(50.0, crossing))
+        # the ratio contracts beyond the crossing, <= 0 unless 2 theta_bar^2 > 1;
+        # a crossing beyond the hard limit only needs to exceed it
+        excess = 2.0 * params.theta_bar**2 - 1.0
+        crossing = excess / (4.0 * params.g_bar**2) if excess > 0.0 else 0.0
+        candidate = math.ceil(4.0 * max(50.0, min(crossing, HARD_LIMIT)))
     else:
         # gain(n) <= n_ex/(n+1), so the ratio contracts beyond n_ex
-        candidate = math.ceil(4.0 * max(50.0, n_ex))
+        candidate = math.ceil(4.0 * max(50.0, min(n_ex, HARD_LIMIT)))
 
     while True:
         if candidate > HARD_LIMIT:

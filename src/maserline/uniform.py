@@ -74,8 +74,8 @@ class LaguerreAverages(TrigAverages):
     the truncated sum is the closed form at every order.
     """
 
-    def __init__(self, g: float, g_bar: float, order_sin: int, order_cos: int):
-        super().__init__(g, g_bar=g_bar)
+    def __init__(self, g_bar: float, order_sin: int, order_cos: int):
+        super().__init__(g_bar=g_bar)
         self.order_sin = order_sin
         self.order_cos = order_cos
 
@@ -124,7 +124,7 @@ def build_uniform_lindblad(params: MaserParams, orders: tuple[int, int]) -> Lagu
     The pairing keeps the sine family one degree ahead of the cosine
     family with an odd sine order, e.g. (1, 0), (3, 2), (7, 6); any other
     raises ``ValueError``.  Another pairing is a
-    ``LaguerreAverages(g, g_bar, order_sin, order_cos)`` family built
+    ``LaguerreAverages(g_bar, order_sin, order_cos)`` family built
     directly and passed to the generic builders.
     """
     if not isinstance(params.tau_dist, ExponentialTau):
@@ -132,7 +132,7 @@ def build_uniform_lindblad(params: MaserParams, orders: tuple[int, int]) -> Lagu
     order_sin, order_cos = orders
     if order_sin < 1 or order_sin % 2 == 0 or order_cos != order_sin - 1:
         raise ValueError(f"orders {orders} violate the (odd sine, sine-1 cosine) pairing")
-    return LaguerreAverages(params.g, params.g_bar, order_sin, order_cos)
+    return LaguerreAverages(params.g_bar, order_sin, order_cos)
 
 
 def uniform_steady_state(params: MaserParams, averages: LaguerreAverages, N: int) -> PhotonStatistics:

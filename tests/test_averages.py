@@ -17,12 +17,14 @@ from maserline import (
     MaserParams,
     QuadratureError,
     TrigAverages,
-    exp_average_trig,
     quadrature_nodes,
     refine_until_stable,
 )
 
 _TRIG = {"cos_cos": (np.cos, np.cos), "sin_sin": (np.sin, np.sin)}
+
+# the closed exponential family at unit g_bar: its averages take a and b directly
+CLOSED = TrigAverages(g_bar=1.0)
 
 
 def brute_force_average(kind, a, b, t_max=50.0, n=131072):
@@ -35,8 +37,8 @@ def brute_force_average(kind, a, b, t_max=50.0, n=131072):
 
 
 def test_trivial_values():
-    assert exp_average_trig("sin_sin", 0.0, 0.0) == 0.0
-    assert exp_average_trig("cos_cos", 0.0, 0.0) == 1.0
+    assert CLOSED.sin_sin(0.0, 0.0) == 0.0
+    assert CLOSED.cos_cos(0.0, 0.0) == 1.0
 
 
 def test_equal_argument_sine_closed_form():
@@ -45,7 +47,7 @@ def test_equal_argument_sine_closed_form():
 
     for a in (0.2, 1.0, 2.7):
         expected = quad(lambda t: math.exp(-t) * math.sin(a * t) ** 2, 0.0, 80.0, limit=400)[0]
-        got = exp_average_trig("sin_sin", a, a)
+        got = CLOSED.sin_sin(a, a)
         assert got == pytest.approx(2 * a**2 / (1 + 4 * a**2), rel=1e-14)
         assert got == pytest.approx(expected, abs=1e-9)
 
@@ -55,16 +57,9 @@ def test_closed_forms_against_brute_force_quadrature():
     pairs = rng.uniform(0.0, 10.0, size=(100, 2))
     for a, b in pairs:
         for kind in _TRIG:
-            assert exp_average_trig(kind, a, b) == pytest.approx(
+            assert getattr(CLOSED, kind)(a, b) == pytest.approx(
                 brute_force_average(kind, a, b), abs=1e-9
             )
-
-
-def test_non_finite_arguments_rejected():
-    with pytest.raises(ValueError):
-        exp_average_trig("cos_cos", math.nan, 1.0)
-    with pytest.raises(ValueError):
-        exp_average_trig("banana", 1.0, 1.0)
 
 
 def test_fixed_tau_maps_to_point_mass():
@@ -126,7 +121,7 @@ def test_gain_reconstruction_matches_rational_form():
     for g_bar in (0.1, 0.3, 1.0):
         for theta_bar in (0.5, 1.0, 2.5):
             n_ex = (theta_bar / g_bar) ** 2
-            lhs = n_ex * exp_average_trig("sin_sin", g_bar * s, g_bar * s) / (n + 1.0)
+            lhs = n_ex * CLOSED.sin_sin(g_bar * s, g_bar * s) / (n + 1.0)
             rhs = 2.0 * theta_bar**2 / (1.0 + 4.0 * g_bar**2 * (n + 1.0))
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
@@ -142,6 +137,20 @@ def test_trig_averages_closed_vs_nodes():
     np.testing.assert_allclose(
         closed.pump_gain(x), discrete.pump_gain(x), rtol=1e-10, atol=1e-15
     )
+
+
+@pytest.mark.parametrize(
+    "dist, n_nodes",
+    [(FixedTau(0.7), None), (DiscreteTau(np.array([0.5, 1.5]), np.array([0.25, 0.75])), None), (ExponentialTau(1.3), 16)],
+    ids=["fixed", "discrete", "laguerre16"],
+)
+def test_node_family_holds_the_rabi_angles(dist, n_nodes):
+    """A node family is its Rabi angles g*tau_k and weights, exactly."""
+    p = MaserParams(kappa=1.0, n_th=0.0, r=25.0, g=0.3, tau_dist=dist)
+    gtaus, weights = TrigAverages.for_params(p, n_nodes).point_data
+    nodes = quadrature_nodes(dist, n_nodes or 1)
+    np.testing.assert_array_equal(gtaus, p.g * nodes.taus)
+    np.testing.assert_array_equal(weights, nodes.weights)
 
 
 @pytest.mark.parametrize(
@@ -163,7 +172,7 @@ def test_refine_until_stable_converges():
         return av.pump_gain(s)
 
     value = refine_until_stable(params, evaluate, rel_tol=1e-10)
-    target = TrigAverages(0.3, g_bar=0.3).pump_gain(s)
+    target = TrigAverages(g_bar=0.3).pump_gain(s)
     np.testing.assert_allclose(value, target, rtol=1e-9)
 
 

@@ -326,6 +326,27 @@ def test_scan_bounds_must_be_finite(capsys, argv, field):
     assert err["message"].startswith(f"{field} must be finite")
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["spectrum", "--dist", "exp", "--rate", "50", "--g-tau", "1e155"], "ValueError"),
+    (["spectrum", "--dist", "exp", "--rate", "1e300", "--g-tau", "1e5"], "ValueError"),
+    (["uniform-convergence", "--dist", "exp", "--steps", "2", "--g-tau", "1e155"], "ValueError"),
+    (["spectrum", "--dist", "exp", "--rate", "50", "--g-tau", "1e-170"], "VacuumStateError"),
+    (["spectrum", "--rate", "50", "--g-tau", "1e155"], "ValueError"),
+    (["fock-resolved", "--rate", "50", "--g-tau", "1e300"], "ValueError"),
+])
+def test_extreme_pump_angles_are_refused(capsys, argv, error):
+    """A pump angle whose square leaves the float range, or underflows to
+    a vacuum, ends in one JSON line on stderr: no traceback, no numpy
+    warning, no output."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"] == error
+
+
 # (argv, config-file text, message start): every float field is finite and
 # every int field at least 1, from a flag or the file
 OUT_OF_RANGE = [

@@ -20,6 +20,12 @@ from maserline import (
         dict(r=-5.0),
         dict(g=0.0),
         dict(g=math.inf),
+        # (g*tau)^2 or r/kappa*(g*tau)^2 beyond float range, tau the fixed
+        # tau, the mean or the largest node
+        dict(g=1e155),
+        dict(g=1e155, tau_dist=ExponentialTau(1.0)),
+        dict(r=1e300, g=1e5, tau_dist=ExponentialTau(1.0)),
+        dict(g=1e150, tau_dist=DiscreteTau(np.array([1.0, 1e6]), np.array([0.5, 0.5]))),
     ],
 )
 def test_params_validation(kwargs):

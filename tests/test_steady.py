@@ -199,6 +199,21 @@ def test_statistics_validation():
         PhotonStatistics(np.array([0.5, 0.6]), 1, 0.0)  # not normalized
     with pytest.raises(ValueError):
         PhotonStatistics(np.array([1.2, -0.2]), 1, 0.0)  # negative entry
+    with pytest.raises(ValueError):
+        PhotonStatistics(np.array([math.nan, math.nan]), 1, 0.0)
+    with pytest.raises(ValueError):
+        PhotonStatistics.from_probabilities([1.0, math.nan])
+
+
+@pytest.mark.parametrize(
+    "dist, g", [(ExponentialTau(1.0), 1.0), (FixedTau(1.0), 1e-153)], ids=["exp", "fixed"]
+)
+def test_auto_truncation_crossing_beyond_float_range(dist, g):
+    """At r/kappa = 1e308 four times the crossing overflows a float; the
+    search still refuses with its typed limit."""
+    p = MaserParams(kappa=1.0, n_th=0.0, r=1e308, g=g, tau_dist=dist)
+    with pytest.raises(ResourceLimitError):
+        auto_truncation(p)
 
 
 def test_overflow_safety_far_above_threshold():

@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import QuadratureError
 from .model import DiscreteTau, ExponentialTau, FixedTau, InteractionTimeDistribution, MaserParams
@@ -56,6 +55,8 @@ def _gauss_laguerre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     squared first eigenvector component (the measure has unit mass).
     Stable at large n where upstream recurrence evaluations overflow.
     """
+    from scipy.linalg import eigh_tridiagonal  # imported on use: off the package's import path
+
     k = np.arange(n_nodes, dtype=float)
     try:
         x, q = eigh_tridiagonal(2.0 * k + 1.0, k[1:])

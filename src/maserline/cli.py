@@ -161,13 +161,23 @@ def _scan_range(cfg: dict, default_min: float, default_max: float) -> np.ndarray
     return np.linspace(lo, hi, steps)
 
 
-def _fmt(column: str, value) -> str:
+def _refuse_non_finite(table: dict[str, list]) -> None:
+    """Raise on the first non-finite cell, column by column.
+
+    Only float cells can be non-finite; the others are text, ints or
+    empty.  Filtering and testing run in C: tables reach 10^4 cells.
+    """
+    for name, column in table.items():
+        if not all(map(math.isfinite, filter(float.__instancecheck__, column))):
+            bad = next(v for v in column if isinstance(v, float) and not math.isfinite(v))
+            raise MaserlineError(f"non-finite cell {name}={bad}; refusing to write")
+
+
+def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, (str, int)):
         return str(value)
-    if not math.isfinite(value):
-        raise MaserlineError(f"non-finite cell {column}={value}; refusing to write")
     return f"{value:.17g}"
 
 
@@ -181,13 +191,13 @@ def _emit(cfg: dict, header_meta: dict, table: dict[str, list]) -> None:
     # otherwise identical runs; leaving it out keeps outputs byte-identical
     echoed = {k: v for k, v in cfg.items() if k != "out"}
     meta = {"tool": "maserline", "version": __version__, "config": echoed, **header_meta}
-    # _fmt refuses a non-finite cell; JSON writes the values themselves
-    cells = [[_fmt(name, value) for value in column] for name, column in table.items()]
+    _refuse_non_finite(table)
     if cfg["format"] == "json":
         rows = [{name: value for name, value in zip(table, row) if value is not None}
                 for row in zip(*table.values())]
         text = json.dumps({"metadata": meta, "rows": rows}, indent=1) + "\n"
     else:
+        cells = [map(_fmt, column) for column in table.values()]
         lines = ["# " + json.dumps(meta), ",".join(table), *map(",".join, zip(*cells))]
         text = "\n".join(lines) + "\n"
     if cfg["out"]:

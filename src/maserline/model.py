@@ -101,13 +101,8 @@ class MaserParams:
             raise ValueError(f"g must be positive and finite, got {self.g}")
         if not isinstance(self.tau_dist, (FixedTau, ExponentialTau, DiscreteTau)):
             raise TypeError(f"unsupported interaction-time distribution: {self.tau_dist!r}")
-        # tau is the fixed tau, the mean or the largest node
-        dist = self.tau_dist
-        if isinstance(dist, DiscreteTau):
-            tau = float(dist.taus.max())
-        else:
-            tau = dist.tau if isinstance(dist, FixedTau) else dist.tau_bar
-        angle2 = (self.g * tau) * (self.g * tau)
+        angle = self.g * self.tau_scale
+        angle2 = angle * angle
         pump = self.n_ex * angle2
         if not (math.isfinite(angle2) and math.isfinite(pump)):
             raise ValueError(f"(g*tau)^2 and r/kappa*(g*tau)^2 must be finite, got {angle2!r} and {pump!r}")
@@ -116,6 +111,14 @@ class MaserParams:
     def n_ex(self) -> float:
         """Atoms injected per cavity lifetime, r / kappa."""
         return self.r / self.kappa
+
+    @property
+    def tau_scale(self) -> float:
+        """The fixed tau, the mean tau or the largest node."""
+        dist = self.tau_dist
+        if isinstance(dist, DiscreteTau):
+            return float(dist.taus.max())
+        return dist.tau if isinstance(dist, FixedTau) else dist.tau_bar
 
     def theta(self, tau: float) -> float:
         """Pump parameter sqrt(r/kappa) * g * tau for a given interaction time."""

@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .averages import TrigAverages
 from .errors import IntegrationError, SpectralError, VacuumStateError
@@ -235,6 +234,8 @@ def spectral_decomposition(gen: SidebandGenerator, v0: np.ndarray) -> SpectralDe
     post-check either way.  Complex eigenvalues of the real generator
     come in conjugate pairs with conjugate weights.
     """
+    import scipy.linalg  # imported on use: off the package's import path
+
     v0 = np.asarray(v0, dtype=float)
     w = coherence_weights(gen.N, gen.n_lo)
     g0 = float(w @ v0)

@@ -179,8 +179,11 @@ def auto_truncation(params: MaserParams) -> PhotonStatistics:
         crossing = excess / (4.0 * params.g_bar**2) if excess > 0.0 else 0.0
         candidate = math.ceil(4.0 * max(50.0, min(crossing, HARD_LIMIT)))
     else:
-        # gain(n) <= n_ex/(n+1), so the ratio contracts beyond n_ex
-        candidate = math.ceil(4.0 * max(50.0, min(n_ex, HARD_LIMIT)))
+        # gain(n) <= n_ex/(n+1) and gain(n) <= pump = n_ex (g tau_max)^2, so the
+        # ratio contracts beyond n_ex, and everywhere when the pump is below 1
+        angle = params.g * params.tau_scale
+        reach = min(n_ex, HARD_LIMIT) if n_ex * (angle * angle) >= 1.0 else 0.0
+        candidate = math.ceil(4.0 * max(50.0, reach))
 
     while True:
         if candidate > HARD_LIMIT:

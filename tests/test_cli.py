@@ -864,6 +864,46 @@ def test_import_path_leaves_out_scipy_integrate():
     assert lines[-1] == "0 False"
 
 
+def test_import_path_and_scan_commands_leave_out_scipy():
+    """Importing the package, building the parser and running the three
+    scan commands load no scipy at all; the eigen solve of ``spectrum``
+    loads ``scipy.linalg`` on its first call."""
+    import subprocess
+    import sys
+
+    code = (
+        "import contextlib, io, sys, maserline, maserline.cli; maserline.cli.build_parser(); "
+        "report = ['scipy' in sys.modules]; "
+        "argvs = [['scan-theta', '--rate', '50', '--steps', '3'], "
+        "['fock-resolved', '--rate', '200', '--nth', '0.1', '--g-tau', '0.4665'], "
+        "['uniform-convergence', '--dist', 'exp', '--steps', '3'], "
+        "['spectrum', '--rate', '50', '--nth', '0.01', '--g-tau', '0.35']]\n"
+        "for argv in argvs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        report += [maserline.cli.main(argv), 'scipy' in sys.modules]\n"
+        "print(*report, 'scipy.linalg' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "0", "False", "0", "False", "0", "False", "0", "True", "True"]
+
+
+def test_scan_theta_below_threshold_at_rate_1e4(tmp_path, capsys):
+    """Below threshold (pump r/kappa (g tau)^2 < 1) the truncation search
+    starts at its floor, so the rows succeed; above threshold 4 r/kappa
+    levels exceed the hard limit and the search refuses."""
+    code, out = run(tmp_path, ["scan-theta", "--rate", "10000", "--nth", "0.01",
+                               "--min", "0.1", "--max", "0.3", "--steps", "3"])
+    assert code == 0
+    rows = read_csv(out)[2]
+    assert [row["status"] for row in rows] == ["ok"] * 3
+    for row in rows:
+        assert float(row["D_slope"]) == pytest.approx(float(row["D_main"]), rel=1e-9)
+    assert main(["scan-theta", "--rate", "10000", "--nth", "0.01",
+                 "--min", "1.0", "--max", "1.0", "--steps", "1"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ResourceLimitError"
+
+
 def test_parallel_rows_match_serial(tmp_path):
     # r=50 keeps every level; at r=1000 the rows are cut to the nonzero support
     for rate in ("50", "1000"):

@@ -29,7 +29,7 @@ from maserline import (
     steady_state,
 )
 from maserline.linewidth import jump_operator_matrices
-from maserline.steady import recurrence_ratios
+from maserline.steady import HARD_LIMIT, TAIL_TOL, recurrence_ratios
 
 
 def local_maxima(p):
@@ -214,6 +214,57 @@ def test_auto_truncation_crossing_beyond_float_range(dist, g):
     p = MaserParams(kappa=1.0, n_th=0.0, r=1e308, g=g, tau_dist=dist)
     with pytest.raises(ResourceLimitError):
         auto_truncation(p)
+
+
+def test_auto_truncation_below_threshold_starts_at_the_floor(maser_params, monkeypatch):
+    """With the pump r/kappa (g tau_max)^2 below 1 every link ratio is below
+    1, so the search starts at 4*50 levels whatever r/kappa is."""
+    p = MaserParams(kappa=1.0, n_th=0.0, r=1e308, g=1e-160, tau_dist=FixedTau(1.0))
+    assert steady_state(p).N == 200
+    calls = []
+    original = maserline.steady.recurrence_ratios
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(maserline.steady, "recurrence_ratios", counted)
+    stats = steady_state(maser_params(0.305, r=5000.0))
+    assert calls[0] == 201 and stats.N == calls[-1] - 1 < 4 * 5000
+
+
+THREE_NODES = DiscreteTau([0.7, 1.0, 1.3], [0.3, 0.4, 0.3])
+
+
+def test_truncation_sweep_succeeds_or_refuses_only_above_threshold():
+    """Seeded sweep over r/kappa in [10, 1e4], theta/pi in [0.05, 4] and n_th:
+    each point gives adequate statistics on which the exact and slope
+    linewidths agree, or a typed refusal where the pump r/kappa
+    (g tau_max)^2 is at least 1 and 4 r/kappa levels exceed the hard limit."""
+    rng = np.random.default_rng(0)
+    outcomes = []
+    for _ in range(40):
+        nodes = rng.random() < 0.5
+        n_ex = 10.0 ** rng.uniform(1.0, 4.0)
+        theta = math.pi * 10.0 ** rng.uniform(math.log10(0.05), math.log10(4.0))
+        n_th = 0.0 if rng.random() < 0.25 else 10.0 ** rng.uniform(-3.0, math.log10(3.0))
+        g = theta / math.sqrt(n_ex)  # tau = 1 is the fixed tau and the mean node
+        params = MaserParams(1.0, n_th, n_ex, g, THREE_NODES if nodes else FixedTau(1.0))
+        pump = n_ex * (g * (1.3 if nodes else 1.0)) ** 2
+        try:
+            stats = steady_state(params)
+        except ResourceLimitError:
+            assert pump >= 1.0 and 4.0 * n_ex > HARD_LIMIT, (n_ex, theta, n_th, nodes)
+            outcomes.append("refused")
+            continue
+        assert np.all(stats.p >= 0.0) and abs(stats.p.sum() - 1.0) <= 1e-12
+        assert stats.p[-1] == 0.0 or stats.p[-1] <= TAIL_TOL * stats.p.max()
+        exact = linewidth_components(params, stats).total
+        slope = linewidth_from_slope(build_sideband_generator(params, stats.N), initial_sideband(stats))
+        assert slope == pytest.approx(exact, rel=1e-9, abs=0.0), (n_ex, theta, n_th, nodes)
+        outcomes.append("below" if pump < 1.0 and 4.0 * n_ex > HARD_LIMIT else "ok")
+    # the sweep reaches both outcomes and the rows the floor start rescues
+    assert {"ok", "refused", "below"} <= set(outcomes), outcomes
 
 
 def test_overflow_safety_far_above_threshold():

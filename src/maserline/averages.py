@@ -283,16 +283,26 @@ class TrigAverages:
         s = np.sin(half)
         return np.tensordot(self._weights, 2.0 * s * s, axes=(0, 0))
 
-    def jump_diagonals(self, phi) -> list[tuple[float, np.ndarray, bool]]:
-        """Pump jump operators at phi = sqrt(n+1) as ``(weight, diagonal,
-        raising)``: sqrt(r weight) diag(diagonal), preceded by adag if
-        ``raising``.  Per node a cosine operator cos(g tau_k phi) and a gain
-        operator g tau_k sinc(g tau_k phi); the closed form has no finite
-        set and raises ``ValueError``."""
+    def jump_diagonals(self, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pump jump operators at phi = sqrt(n+1) as arrays ``(weights (M,),
+        diagonals (M, phi.size), raising (M,) bool)``: operator m is
+        sqrt(r weights[m]) diag(diagonals[m]), preceded by adag where
+        ``raising[m]``.  Per node in turn a cosine operator cos(g tau_k phi)
+        and a gain operator g tau_k sinc(g tau_k phi); the closed form has no
+        finite set and raises ``ValueError``.
+
+        ``diagonals`` is a new array, which the caller may overwrite.  Its
+        rows are computed in place from one outer product, so the largest
+        temporary is half its size."""
         gtaus, weights = self.point_data
-        ops = []
-        for gtau, dp in zip(gtaus, weights):
-            arg = gtau * phi
-            ops.append((dp, np.cos(arg), False))
-            ops.append((dp, np.sinc(arg / np.pi) * gtau, True))
-        return ops
+        phi = np.asarray(phi, dtype=float)
+        rows = np.empty((gtaus.size, 2, phi.size))
+        cos, gain = rows[:, 0], rows[:, 1]
+        np.multiply.outer(gtaus, phi, out=cos)
+        # sinc(g tau phi) in the steps of np.sinc(arg / pi): y = pi (arg / pi), sin(y) / y
+        np.multiply(np.pi, np.divide(cos, np.pi, out=gain), out=gain)
+        np.copyto(gain, np.finfo(float).eps, where=gain == 0.0)
+        np.cos(cos, out=cos)
+        np.divide(np.sin(gain), gain, out=gain)
+        gain *= gtaus[:, None]
+        return np.repeat(weights, 2), rows.reshape(-1, phi.size), np.tile([False, True], gtaus.size)

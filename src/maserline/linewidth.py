@@ -16,8 +16,9 @@ photon statistics:
   it must agree with the formula above whenever p is the true steady
   state (detailed balance), which makes it a powerful cross-check.
   Every jump operator, and every product the trace takes, has a single
-  nonzero band, so the matrices are held as single-band matrices and the
-  trace costs O(N) per jump operator.
+  nonzero band, so the matrices are held as single-band matrices.  The
+  operators of one band offset are stacked, in blocks of bounded size, and
+  each product runs once per block at O(N) per operator.
 * ``linewidth_scully`` and ``linewidth_mcgowan`` are the classic
   narrow-distribution and multi-eigenvalue approximations.
 * ``linewidth_exp_closed`` and ``linewidth_exp_scully`` are the closed
@@ -214,12 +215,15 @@ def schawlow_townes_ratio(params: MaserParams, stats: PhotonStatistics, linewidt
 class _Band:
     """Square matrix with one nonzero band: ``M[i, i + k] = values[i]``.
 
-    ``values`` is indexed by row and has one entry per row; entries whose
-    column ``i + k`` falls outside the matrix are zero.  Every operator of
-    the jump-operator trace, and every product of them, is of this form
-    (the ladder operators sit on offsets +-1, the cosine operators on the
+    ``values`` is indexed by row along its last axis; entries whose column
+    ``i + k`` falls outside the matrix are zero.  Leading axes of
+    ``values`` stack matrices that share the offset ``k``: products,
+    ``.T``, ``-`` and ``.trace()`` act on each stacked matrix, and an
+    unstacked operand broadcasts against a stack.  Every operator of the
+    jump-operator trace, and every product of them, is of this form (the
+    ladder operators sit on offsets +-1, the cosine operators on the
     diagonal), so the trace runs as literal matrix algebra at O(N) per
-    product.  ``np.asarray`` gives the dense matrix.
+    product and matrix.  ``np.asarray`` gives the dense matrices.
     """
 
     # numpy scalars and arrays must defer to the methods below; without this
@@ -231,8 +235,9 @@ class _Band:
         self.values = values
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (self.values.size, self.values.size)
+    def shape(self) -> tuple[int, ...]:
+        dim = self.values.shape[-1]
+        return self.values.shape[:-1] + (dim, dim)
 
     @property
     def T(self) -> "_Band":
@@ -257,26 +262,41 @@ class _Band:
 
     __rmul__ = __mul__
 
-    def trace(self) -> float:
-        return float(self.values.sum()) if self.k == 0 else 0.0
+    def trace(self):
+        """The trace, one per stacked matrix (a scalar for a single matrix)."""
+        if self.k == 0:
+            return self.values.sum(axis=-1)
+        return np.zeros(self.values.shape[:-1])[()]
 
     def __array__(self, dtype=None, copy=None):
-        dim = self.values.size
-        dense = np.zeros((dim, dim), dtype=self.values.dtype if dtype is None else dtype)
+        dim = self.values.shape[-1]
+        dense = np.zeros(self.shape, dtype=self.values.dtype if dtype is None else dtype)
         rows = np.arange(max(0, -self.k), min(dim, dim - self.k))
-        dense[rows, rows + self.k] = self.values[rows]
+        dense[..., rows, rows + self.k] = self.values[..., rows]
         return dense
 
 
 def _shifted(values: np.ndarray, k: int) -> np.ndarray:
-    """``values[i + k]`` at every i, zero where i + k is out of range."""
-    out = np.zeros_like(values)
-    dim = values.size
+    """``values[..., i + k]`` at every i, zero where i + k is out of range."""
+    out = np.zeros(values.shape, values.dtype)  # np.zeros_like costs twice as much per call
+    dim = values.shape[-1]
     if k >= 0:
-        out[: max(dim - k, 0)] = values[k:]
+        out[..., : max(dim - k, 0)] = values[..., k:]
     elif -k < dim:
-        out[-k:] = values[: dim + k]
+        out[..., -k:] = values[..., : dim + k]
     return out
+
+
+# Matrices per stacked block: rows * dim stays near 2^16 entries (512 KiB),
+# so the temporaries of a stacked product are bounded whatever the basis
+# size and the operator count, and stay in cache.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _blocks(items, dim: int):
+    """Consecutive slices of ``items`` holding about _BLOCK_ENTRIES / dim each."""
+    step = max(1, _BLOCK_ENTRIES // dim)
+    return (items[start : start + step] for start in range(0, len(items), step))
 
 
 def _lowering_operator(dim: int) -> _Band:
@@ -305,23 +325,29 @@ def jump_operator_matrices(
     Each operator has a single nonzero band (the diagonal or the first
     off-diagonal) and is returned as a single-band matrix that supports
     ``@``, ``-``, scalar ``*``, ``.T`` and ``.trace()`` at O(dim) cost;
-    ``np.asarray(L)`` gives the dense matrix.
+    ``np.asarray(L)`` gives the dense matrix.  The pump operators are rows
+    of one array: the family's diagonals, scaled in place, with the gain
+    rows multiplied by adag in blocks of stacked rows.
 
     The closed exponential form has no finite operator set and raises
     ``ValueError``; a Gauss-Laguerre family ``for_params(params, n)`` has one.
     """
     a = _lowering_operator(dim)
     adag = a.T
-    phi = np.sqrt(np.arange(1.0, dim + 1.0))
     ops = [np.sqrt(params.kappa * (1.0 + params.n_th)) * a]
     if params.n_th > 0:
         ops.append(np.sqrt(params.kappa * params.n_th) * adag)
     if params.r > 0:
         if averages is None:
             averages = TrigAverages.for_params(params)
-        for weight, values, raising in averages.jump_diagonals(phi):
-            amp = np.sqrt(params.r * weight)
-            ops.append(amp * adag @ _Band(0, values) if raising else amp * _Band(0, values))
+        weights, values, raising = averages.jump_diagonals(np.sqrt(np.arange(1.0, dim + 1.0)))
+        amp = np.sqrt(params.r * weights)[:, None]
+        # in place, and the gain rows in blocks, so no temporary approaches the
+        # size of the set; the gain rows keep the literal order (amp adag) @ diag
+        np.multiply(amp, values, out=values, where=~raising[:, None])
+        for rows in _blocks(np.flatnonzero(raising), dim):
+            values[rows] = (_Band(-1, amp[rows] * adag.values) @ _Band(0, values[rows])).values
+        ops += [_Band(-1 if up else 0, row) for up, row in zip(raising, values)]
     return ops
 
 
@@ -340,8 +366,9 @@ def linewidth_lindblad_trace(
 
     Every operator in the sum, and every product of them, has a single
     nonzero band, so the products are taken on single-band matrices (see
-    :func:`jump_operator_matrices`) and the trace costs O(N) per jump
-    operator instead of the O(N^3) of dense products.
+    :func:`jump_operator_matrices`) at O(N) per operator instead of the
+    O(N^3) of dense products.  The operators of one band offset are
+    stacked, in blocks of bounded size, and the trace runs once per block.
 
     The jump operators are those of the family ``averages``.  Without
     one, an exponential tau (no finite operator set) runs the 8..512-node
@@ -365,10 +392,13 @@ def _lindblad_trace_value(params: MaserParams, stats: PhotonStatistics, averages
     a = _lowering_operator(dim)
     adag = a.T
     a_rho = a @ _Band(0, stats.p)  # a @ diag(p)
+    ops = jump_operator_matrices(params, dim, averages)
     total = 0.0
-    for L in jump_operator_matrices(params, dim, averages):
-        Ldag = L.T
-        comm1 = adag @ L - L @ adag
-        comm2 = Ldag @ adag - adag @ Ldag
-        total -= (Ldag @ comm1 @ a_rho).trace() + (comm2 @ L @ a_rho).trace()
+    for k in (1, 0, -1):
+        for block in _blocks([op.values for op in ops if op.k == k], dim):
+            L = _Band(k, np.array(block))
+            Ldag = L.T
+            comm1 = adag @ L - L @ adag
+            comm2 = Ldag @ adag - adag @ Ldag
+            total -= float(((Ldag @ comm1 @ a_rho).trace() + (comm2 @ L @ a_rho).trace()).sum())
     return total

@@ -17,6 +17,10 @@ import numpy as np
 
 _WEIGHT_SUM_TOL = 1e-12
 
+# The closed exponential forms multiply up to three factors (g tau_bar)^2 (n+1);
+# at g tau_bar <= G_BAR_MAX they stay finite at every level n below 1e20.
+G_BAR_MAX = 1e40
+
 
 @dataclass(frozen=True)
 class FixedTau:
@@ -81,7 +85,8 @@ class MaserParams:
     g:
         One-photon Rabi frequency, > 0.
     tau_dist:
-        Interaction-time distribution.
+        Interaction-time distribution.  (g*tau)^2 and r/kappa*(g*tau)^2 must
+        be finite, and an exponential one needs g*tau_bar <= G_BAR_MAX.
     """
 
     kappa: float
@@ -106,6 +111,8 @@ class MaserParams:
         pump = self.n_ex * angle2
         if not (math.isfinite(angle2) and math.isfinite(pump)):
             raise ValueError(f"(g*tau)^2 and r/kappa*(g*tau)^2 must be finite, got {angle2!r} and {pump!r}")
+        if isinstance(self.tau_dist, ExponentialTau) and angle > G_BAR_MAX:
+            raise ValueError(f"g*tau_bar must be at most {G_BAR_MAX:g} for the closed exponential forms, got {angle!r}")
 
     @property
     def n_ex(self) -> float:

@@ -111,11 +111,14 @@ class LaguerreAverages(TrigAverages):
         cos_dn, sin_dn = self._tables(s)
         return np.sum((cos_up - cos_dn) ** 2, axis=0), np.sum((s1 * sin_up - s * sin_dn) ** 2, axis=0)
 
-    def jump_diagonals(self, phi) -> list[tuple[float, np.ndarray, bool]]:
+    def jump_diagonals(self, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One cosine operator per cosine degree, then one gain operator
-        adag ck_sin(gb phi)/phi per sine degree, each at weight 1."""
+        adag ck_sin(gb phi)/phi per sine degree, each at weight 1, as the
+        arrays ``(weights, diagonals, raising)`` of
+        :meth:`TrigAverages.jump_diagonals`."""
         cos, sin = self._tables(phi)
-        return [(1.0, c, False) for c in cos] + [(1.0, s / phi, True) for s in sin]
+        counts = [len(cos), len(sin)]
+        return np.ones(sum(counts)), np.concatenate((cos, sin / phi)), np.repeat([False, True], counts)
 
 
 def build_uniform_lindblad(params: MaserParams, orders: tuple[int, int]) -> LaguerreAverages:

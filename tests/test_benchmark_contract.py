@@ -24,7 +24,8 @@ import pytest
 
 import maserline
 import maserline.cli
-from maserline import ExponentialTau, MaserParams, TrigAverages
+from maserline import DiscreteTau, ExponentialTau, FixedTau, MaserParams, TrigAverages
+from maserline.linewidth import jump_operator_matrices
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -69,6 +70,28 @@ def test_closed_form_point_data_raises_value_error():
     params = MaserParams(1.0, 0.0, 50.0, 0.3, ExponentialTau(1.0))
     with pytest.raises(ValueError):
         TrigAverages.for_params(params).point_data
+
+
+# (params, n_nodes) of the families the crosscheck traces: fixed tau with
+# and without thermal photons, a node list and a Gauss-Laguerre rule
+OPERATOR_SETS = [
+    (MaserParams(1.0, 0.0, 50.0, 0.3, FixedTau(1.0)), None),
+    (MaserParams(1.0, 0.1, 200.0, 0.4665, FixedTau(1.0)), None),
+    (MaserParams(1.0, 0.0, 50.0, 0.3, DiscreteTau([0.5, 1.0, 1.5], [0.25, 0.5, 0.25])), None),
+    (MaserParams(1.0, 0.0, 50.0, 0.3, ExponentialTau(1.0)), 128),
+]
+
+
+@pytest.mark.parametrize("params, n_nodes", OPERATOR_SETS, ids=["fixed", "fixed_n_th", "three_nodes", "exp_128"])
+def test_jump_operator_set_is_what_the_tracer_counts(params, n_nodes):
+    # the tracer counts linewidth.jump_operator_matrices.matrices as len(ops)
+    # and sizes the trace's flop and byte estimates from ops[0].shape[0]
+    family = TrigAverages.for_params(params, n_nodes)
+    dim = 41
+    ops = jump_operator_matrices(params, dim, family)
+    assert isinstance(ops, list)
+    assert len(ops) == 1 + (params.n_th > 0) + 2 * family.point_data[0].size
+    assert all(op.shape == (dim, dim) for op in ops)
 
 
 GATE = _load("gate")

@@ -347,6 +347,22 @@ def test_extreme_pump_angles_are_refused(capsys, argv, error):
     assert json.loads(captured.err)["error"] == error
 
 
+@pytest.mark.parametrize("rate, g_tau", [("50", "1e80"), ("3", "2.3e153")])
+def test_exponential_g_tau_beyond_the_closed_forms_is_refused(capsys, rate, g_tau):
+    """g*tau_bar whose square is finite but whose closed exponential forms
+    overflow used to end in numpy warnings and a misleading SpectralError
+    or ValueError; it is refused with one JSON line that names it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["spectrum", "--dist", "exp", "--rate", rate, "--g-tau", g_tau]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith("g*tau_bar must be at most")
+
+
 # (argv, config-file text, message start): every float field is finite and
 # every int field at least 1, from a flag or the file
 OUT_OF_RANGE = [

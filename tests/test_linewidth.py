@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from maserline import (
     TrigAverages,
     VacuumStateError,
     build_sideband_generator,
+    build_uniform_lindblad,
     initial_sideband,
     linewidth_components,
     linewidth_exp_closed,
@@ -29,7 +31,7 @@ from maserline import (
     schawlow_townes_ratio,
     steady_state,
 )
-from maserline.linewidth import jump_operator_matrices, mcgowan_weights, pump_weights
+from maserline.linewidth import _Band, _lowering_operator, jump_operator_matrices, mcgowan_weights, pump_weights
 
 
 def point_statistics(n0, size=None):
@@ -317,6 +319,59 @@ def test_jump_operator_matrices_exponential_needs_nodes(laser_params):
     with pytest.raises(ValueError):
         jump_operator_matrices(p, 20)
     assert len(jump_operator_matrices(p, 20, TrigAverages.for_params(p, 8))) == 1 + 2 * 8
+
+
+def _exp_laser(n_th=0.0):
+    return MaserParams(1.0, n_th, 50.0, 0.3, ExponentialTau(1.0))
+
+
+# (id, params, family): the trace stacks the operators of one band offset,
+# so each family is traced again one operator at a time
+STACKED_MODELS = [
+    ("fixed", JUMP_MODELS[0][1], None),
+    ("three_nodes", JUMP_MODELS[1][1], None),
+    ("laguerre_3_2", _exp_laser(0.01), build_uniform_lindblad(_exp_laser(0.01), (3, 2))),
+    ("gauss_laguerre_128", _exp_laser(), TrigAverages.for_params(_exp_laser(), 128)),
+    ("gauss_laguerre_512", _exp_laser(), TrigAverages.for_params(_exp_laser(), 512)),
+]
+
+
+@pytest.mark.parametrize("model", STACKED_MODELS, ids=[m[0] for m in STACKED_MODELS])
+def test_stacked_trace_is_the_sum_over_single_operators(model):
+    """The stacked, blocked trace equals the literal body run on each jump
+    operator alone, summed exactly: a dropped, repeated or misplaced row
+    of a stack shows here."""
+    _, params, family = model
+    stats = steady_state(params, 150)
+    a = _lowering_operator(stats.N + 1)
+    adag = a.T
+    a_rho = a @ _Band(0, stats.p)
+    terms = []
+    for L in jump_operator_matrices(params, stats.N + 1, family):
+        Ldag = L.T
+        comm1 = adag @ L - L @ adag
+        comm2 = Ldag @ adag - adag @ Ldag
+        terms.append(-((Ldag @ comm1 @ a_rho).trace() + (comm2 @ L @ a_rho).trace()))
+    single = math.fsum(terms) / stats.mean
+    assert linewidth_lindblad_trace(params, stats, family) == pytest.approx(single, rel=1e-13, abs=0.0)
+
+
+def test_trace_memory_stays_within_twice_the_operator_set():
+    """Exponential tau at r=1000 on a 256-node rule and 4001 levels: the
+    operator set is built in place and the stacked products run in bounded
+    blocks, so the peak allocation of the trace stays within twice the
+    bytes of the jump-operator set."""
+    p = MaserParams(1.0, 0.0, 1000.0, 0.05, ExponentialTau(1.0))
+    stats = steady_state(p, 4000)
+    family = TrigAverages.for_params(p, 256)
+    set_bytes = sum(L.values.nbytes for L in jump_operator_matrices(p, stats.N + 1, family))
+    tracemalloc.start()
+    try:
+        linewidth_lindblad_trace(p, stats, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * set_bytes
 
 
 # -- classic formulas ----------------------------------------------------------

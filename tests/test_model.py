@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,11 @@ from maserline import (
     ExponentialTau,
     FixedTau,
     MaserParams,
+    PhotonStatistics,
+    TrigAverages,
+    linewidth_exp_closed,
 )
+from maserline.model import G_BAR_MAX
 
 
 @pytest.mark.parametrize(
@@ -33,6 +38,26 @@ def test_params_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         MaserParams(**base)
+
+
+def test_exponential_g_tau_bar_bound():
+    """The bound applies to g*tau_bar only, is inclusive, and keeps every
+    closed exponential form finite and warning-free up to level 1e19."""
+    with pytest.raises(ValueError, match="g\\*tau_bar"):
+        MaserParams(1.0, 0.0, 3.0, 2.0 * G_BAR_MAX, ExponentialTau(1.0))
+    MaserParams(1.0, 0.0, 3.0, 2.0 * G_BAR_MAX, FixedTau(1.0))
+    p = MaserParams(1.0, 0.0, 3.0, G_BAR_MAX, ExponentialTau(1.0))
+    family = TrigAverages.for_params(p)
+    n = np.array([0.0, 1.0, 1e6, 1e19])
+    s = np.sqrt(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [
+            family.cos_cos(s, s + 1.0), family.sin_sin(s, s + 1.0), family.pump_gain(s + 1.0),
+            *family.squared_differences(n), family.one_minus_cos_diff(1.0 / (s + np.sqrt(n + 1.0))),
+        ]
+        closed = linewidth_exp_closed(p, PhotonStatistics.from_probabilities(np.array([0.5, 0.5])))
+    assert all(np.all(np.isfinite(v)) for v in values) and math.isfinite(closed)
 
 
 def test_distribution_validation():

@@ -176,6 +176,12 @@ class TrigAverages:
     def _outer(self, x):
         return np.multiply.outer(self._gtaus, np.asarray(x, dtype=float))
 
+    def _contract(self, values):
+        """sum_k weights[k] values[k, ...]; einsum without ``optimize`` calls
+        no BLAS, whose threads can cost milliseconds per call on a fresh
+        process, and with one node of weight 1 the result is the node's values."""
+        return np.einsum("k,k...->...", self._weights, values)
+
     def cos_cos(self, x, y):
         if self._gtaus is None:
             a = self._g_bar * np.asarray(x, dtype=float)
@@ -183,7 +189,7 @@ class TrigAverages:
             dm = a - b
             dp = a + b
             return 0.5 * (1.0 / (1.0 + dm * dm) + 1.0 / (1.0 + dp * dp))
-        return np.tensordot(self._weights, np.cos(self._outer(x)) * np.cos(self._outer(y)), axes=(0, 0))
+        return self._contract(np.cos(self._outer(x)) * np.cos(self._outer(y)))
 
     def sin_sin(self, x, y):
         if self._gtaus is None:
@@ -193,7 +199,7 @@ class TrigAverages:
             dp = a + b
             # product form: no cancellation for a ~ b
             return 2.0 * a * b / ((1.0 + dm * dm) * (1.0 + dp * dp))
-        return np.tensordot(self._weights, np.sin(self._outer(x)) * np.sin(self._outer(y)), axes=(0, 0))
+        return self._contract(np.sin(self._outer(x)) * np.sin(self._outer(y)))
 
     def anticommutator_norm(self, s):
         """<cos^2(g tau s) + sin^2(g tau s)>, the weight of the pump
@@ -218,7 +224,7 @@ class TrigAverages:
         sinc = np.sinc(arg / np.pi)  # numpy sinc is sin(pi x)/(pi x)
         if snap_trapping:
             sinc = np.where(np.abs(sinc) < TRAPPING_SINC_TOL, 0.0, sinc)
-        return np.tensordot(self._weights, (self._gtaus**2)[:, None] * sinc * sinc, axes=(0, 0))
+        return self._contract((self._gtaus**2)[:, None] * sinc * sinc)
 
     def squared_differences(self, n):
         """The squared trig differences of the pump weights at photon
@@ -264,8 +270,8 @@ class TrigAverages:
         cos_diff = -2.0 * np.sin(mid) * sin_half
         sin_diff = 2.0 * s1[None, :] * np.cos(mid) * sin_half + np.sin(np.multiply.outer(self._gtaus, s)) / sigma[None, :]
         return (
-            np.tensordot(self._weights, cos_diff * cos_diff, axes=(0, 0)),
-            np.tensordot(self._weights, sin_diff * sin_diff, axes=(0, 0)),
+            self._contract(cos_diff * cos_diff),
+            self._contract(sin_diff * sin_diff),
         )
 
     def one_minus_cos_diff(self, inv_sigma):
@@ -281,7 +287,7 @@ class TrigAverages:
             return d * d / (1.0 + d * d)
         half = 0.5 * self._outer(inv_sigma)
         s = np.sin(half)
-        return np.tensordot(self._weights, 2.0 * s * s, axes=(0, 0))
+        return self._contract(2.0 * s * s)
 
     def jump_diagonals(self, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Pump jump operators at phi = sqrt(n+1) as arrays ``(weights (M,),

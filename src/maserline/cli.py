@@ -181,6 +181,17 @@ def _fmt(value) -> str:
     return f"{value:.17g}"
 
 
+def _column_text(column: list):
+    """The CSV cells of one column: a float column is formatted by one
+    ``%``-map (the same float-to-string routine as ``_fmt``), a text column
+    passes through, and a mixed column goes cell by cell through ``_fmt``."""
+    if all(map(float.__instancecheck__, column)):
+        return map("%.17g".__mod__, column)
+    if all(map(str.__instancecheck__, column)):
+        return column
+    return map(_fmt, column)
+
+
 def _emit(cfg: dict, header_meta: dict, table: dict[str, list]) -> None:
     """Write one table, given as column name -> cells in row order.
 
@@ -197,7 +208,7 @@ def _emit(cfg: dict, header_meta: dict, table: dict[str, list]) -> None:
                 for row in zip(*table.values())]
         text = json.dumps({"metadata": meta, "rows": rows}, indent=1) + "\n"
     else:
-        cells = [map(_fmt, column) for column in table.values()]
+        cells = [_column_text(column) for column in table.values()]
         lines = ["# " + json.dumps(meta), ",".join(table), *map(",".join, zip(*cells))]
         text = "\n".join(lines) + "\n"
     if cfg["out"]:

@@ -16,6 +16,8 @@ is read off the initial slope, D = -2 g'(0)/g(0), or equivalently from
 the weighted mean of the generator's decay rates.  g(t) and the spectrum
 are read from the eigen expansion of :func:`spectral_decomposition`, with
 no time stepping; where that refuses, the answer is the window below.
+S(omega) is evaluated in real arithmetic on per-mode arrays, and so are
+the peak and half-maximum searches of the FWHM.
 
 The boundary entries follow the truncated-operator convention (operators
 are literal matrices on N+1 levels), so a single application of the
@@ -288,28 +290,51 @@ def spectrum_and_fwhm(decomp: SpectralDecomposition, omega_grid) -> tuple[np.nda
     full width at half maximum (located by bisection on each flank).
 
     Modes with |g_j| below ``WEIGHT_FLOOR`` of sum_j |g_j| are dropped;
-    every mode decays, as the decomposition guarantees.
+    every mode decays, as the decomposition guarantees.  S is evaluated in
+    real arithmetic on per-mode arrays (:func:`_lorentzian_sum`).
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     keep = np.abs(decomp.weights) > WEIGHT_FLOOR * np.sum(np.abs(decomp.weights))
     mu = decomp.mu[keep]
-    g = decomp.weights[keep]
+    value = _lorentzian_sum(mu, decomp.weights[keep])
 
-    def value(omega):
-        return np.real(g @ (1.0 / (mu[:, None] / 2.0 - 1j * np.atleast_1d(omega)[None, :])))
+    def scalar(omega):
+        return float(value(omega))
 
-    spectrum = value(omega_grid)
+    spectrum = value(omega_grid[:, None])
 
     # refine the peak around the best grid point, then bisect each flank
     i = int(np.argmax(spectrum))
     lo = omega_grid[max(i - 1, 0)]
     hi = omega_grid[min(i + 1, omega_grid.size - 1)]
-    peak_omega, peak = _golden_max(lambda x: float(value(x)[0]), lo, hi)
+    peak_omega, peak = _golden_max(scalar, lo, hi)
     half = peak / 2.0
     step = max((omega_grid[-1] - omega_grid[0]) / max(omega_grid.size - 1, 1), np.min(mu.real) / 8.0)
-    left = _half_crossing(lambda x: float(value(x)[0]), peak_omega, -step, half)
-    right = _half_crossing(lambda x: float(value(x)[0]), peak_omega, step, half)
+    left = _half_crossing(scalar, peak_omega, -step, half)
+    right = _half_crossing(scalar, peak_omega, step, half)
     return spectrum, right - left
+
+
+def _lorentzian_sum(mu: np.ndarray, g: np.ndarray):
+    """S as a function of omega (a float, or a column omega[:, None] for a
+    grid): per mode, with a = mu/2 and d = a_i - omega,
+
+        Re[g / (a - i omega)] = (g_r a_r + g_i d) / (a_r^2 + d^2),
+
+    summed over the modes on the last axis (``np.add.reduce``: ``np.sum``
+    costs as much again per scalar call)."""
+    a_r = 0.5 * mu.real
+    a_r2 = a_r * a_r
+    ga_r = g.real * a_r
+    if not (np.any(mu.imag) or np.any(g.imag)):  # all modes real: d^2 = omega^2, no g_i term
+        return lambda omega: np.add.reduce(ga_r / (a_r2 + omega * omega), axis=-1)
+    a_i, g_i = 0.5 * mu.imag, g.imag
+
+    def value(omega):
+        d = a_i - omega
+        return np.add.reduce((ga_r + g_i * d) / (a_r2 + d * d), axis=-1)
+
+    return value
 
 
 def _golden_max(f, lo, hi, iters=80):

@@ -43,6 +43,10 @@ from .regression import SidebandGenerator, build_sideband_generator, initial_sid
 from .steady import PhotonStatistics, steady_state
 
 
+# coefficient tables a LaguerreAverages keeps before it starts afresh
+_MEMO_SIZE = 8
+
+
 def _laguerre_powers(x: np.ndarray, order: int) -> np.ndarray:
     """Complex coefficients z_k = (-ix)^k / (1 - ix)^(k+1), k = 0..order.
 
@@ -78,21 +82,30 @@ class LaguerreAverages(TrigAverages):
         super().__init__(g_bar=g_bar)
         self.order_sin = order_sin
         self.order_cos = order_cos
+        # argument (shape, bytes) -> read-only tables: a generator build reads
+        # 4 distinct arguments 7 times
+        self._memo: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def _tables(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Cosine and sine coefficient tables [k, ...] at gb x, from one recurrence."""
-        z = _laguerre_powers(self._g_bar * np.asarray(x, dtype=float), max(self.order_sin, self.order_cos))
-        return z.real[: self.order_cos + 1], z.imag[: self.order_sin + 1]
+        """Cosine and sine coefficient tables [k, ...] at gb x, from one
+        recurrence per distinct argument; the tables are read-only."""
+        x = np.asarray(x, dtype=float)
+        key = (x.shape, x.tobytes())
+        tables = self._memo.get(key)
+        if tables is None:
+            z = _laguerre_powers(self._g_bar * x, max(self.order_sin, self.order_cos))
+            z.flags.writeable = False
+            tables = z.real[: self.order_cos + 1], z.imag[: self.order_sin + 1]
+            if len(self._memo) >= _MEMO_SIZE:
+                self._memo.clear()
+            self._memo[key] = tables
+        return tables
 
     def cos_cos(self, x, y):
-        cx = self._tables(x)[0]
-        cy = cx if y is x else self._tables(y)[0]
-        return np.sum(cx * cy, axis=0)
+        return np.sum(self._tables(x)[0] * self._tables(y)[0], axis=0)
 
     def sin_sin(self, x, y):
-        sx = self._tables(x)[1]
-        sy = sx if y is x else self._tables(y)[1]
-        return np.sum(sx * sy, axis=0)
+        return np.sum(self._tables(x)[1] * self._tables(y)[1], axis=0)
 
     def anticommutator_norm(self, s):
         cos, sin = self._tables(s)

@@ -185,3 +185,43 @@ def test_refine_until_stable_reports_exhaustion():
 
     with pytest.raises(QuadratureError):
         refine_until_stable(params, never_converges, rel_tol=1e-12)
+
+
+def _node_values(gtau, x, y):
+    """The per-node value of each node-list method at angles g*tau."""
+    sinc = np.sinc(gtau * x / np.pi)
+    return {
+        "cos_cos": np.cos(gtau * x) * np.cos(gtau * y),
+        "sin_sin": np.sin(gtau * x) * np.sin(gtau * y),
+        "pump_gain": gtau**2 * sinc * sinc,
+        "one_minus_cos_diff": 2.0 * np.sin(0.5 * gtau * (y - x)) ** 2,
+    }
+
+
+def _family_values(family, x, y):
+    return {
+        "cos_cos": family.cos_cos(x, y),
+        "sin_sin": family.sin_sin(x, y),
+        "pump_gain": family.pump_gain(x),
+        "one_minus_cos_diff": family.one_minus_cos_diff(y - x),
+    }
+
+
+def test_node_contractions_are_the_weighted_node_sums():
+    """One node of weight 1 gives its node values bit for bit; three nodes
+    give the exactly rounded weighted sum (math.fsum) within 1e-15 of the
+    sum of the magnitudes of the terms."""
+    x = np.sqrt(np.arange(0.0, 300.0))
+    y = np.sqrt(np.arange(1.0, 301.0))
+    single = _family_values(TrigAverages(gtaus=[0.73], weights=[1.0]), x, y)
+    for name, expected in _node_values(0.73, x, y).items():
+        np.testing.assert_array_equal(single[name], expected, err_msg=name)
+
+    gtaus, weights = (0.41, 0.73, 1.9), (0.3, 0.45, 0.25)
+    found = _family_values(TrigAverages(gtaus=gtaus, weights=weights), x, y)
+    per_node = [_node_values(gtau, x, y) for gtau in gtaus]
+    for name, values in found.items():
+        terms = np.array([w * nodes[name] for w, nodes in zip(weights, per_node)])
+        reference = np.array([math.fsum(column) for column in terms.T])
+        scale = np.sum(np.abs(terms), axis=0)
+        assert np.all(np.abs(values - reference) <= 1e-15 * scale), name

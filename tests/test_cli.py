@@ -13,6 +13,7 @@ import maserline.steady
 from maserline import (
     ExponentialTau,
     FixedTau,
+    MaserlineError,
     MaserParams,
     SpectralError,
     TrigAverages,
@@ -966,3 +967,40 @@ def test_stdout_default(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("# ")
     assert lines[1].startswith("theta,")
+
+
+_CSV_TABLE = {
+    "float": [0.1, -0.0, 5e-324, 1.7976931348623157e308, -2.5e-300],
+    "float64": [np.float64(1 / 3), np.float64(-0.0), 7.0, np.float64(5e-324), np.float64(-1.7976931348623157e308)],
+    "int": [0, 1, -7, 10**20, 3],
+    "bool": [True, False, True, False, True],
+    "str": ["ok", "vacuum", "", "a b", "ok"],
+    "float_none": [1.5, None, np.float64(2.0), None, -0.0],
+    "mixed": [1, 2.5, "x", None, True],
+    "none": [None] * 5,
+}
+
+
+def test_csv_columns_are_the_per_cell_text(capsys):
+    """Whole-column formatting writes the bytes the per-cell ``_fmt`` path
+    writes, on float, numpy-float, int, bool, str and empty cells, mixed
+    columns, and the signed zero and the extreme doubles."""
+    cfg = {"format": "csv", "out": None}
+    maserline.cli._emit(cfg, {}, _CSV_TABLE)
+    lines = capsys.readouterr().out.split("\n")
+    expected = [",".join(_CSV_TABLE)] + [
+        ",".join(map(maserline.cli._fmt, row)) for row in zip(*_CSV_TABLE.values())
+    ]
+    assert lines[1:] == expected + [""]
+    assert lines[2].split(",")[:2] == ["0.10000000000000001", "0.33333333333333331"]
+    assert lines[3].split(",")[:2] == ["-0", "-0"]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.nan)])
+@pytest.mark.parametrize("column", ["float", "float64", "float_none"])
+def test_csv_writer_refuses_a_non_finite_cell_by_its_column(capsys, bad, column):
+    table = {name: list(cells) for name, cells in _CSV_TABLE.items()}
+    table[column][3] = bad
+    with pytest.raises(MaserlineError, match=f"non-finite cell {column}="):
+        maserline.cli._emit({"format": "csv", "out": None}, {}, table)
+    assert capsys.readouterr().out == ""

@@ -465,3 +465,56 @@ def test_half_crossing_stops_when_the_bracket_stops_shrinking(monkeypatch, maser
     np.testing.assert_array_equal(spectrum, spectrum_ref)
     if r == 200.0:
         assert evaluations <= 120  # both flanks; the 100-step loop takes over 200
+
+
+def _complex_spectrum_and_fwhm(decomp, omega_grid):
+    """The spectrum and FWHM from the complex formula
+    S(w) = Re g . (mu/2 - i w)^(-1), a matmul over modes per evaluation,
+    with the library's searches: the reference for the real-arithmetic one."""
+    keep = np.abs(decomp.weights) > regression.WEIGHT_FLOOR * np.sum(np.abs(decomp.weights))
+    mu, g = decomp.mu[keep], decomp.weights[keep]
+
+    def value(omega):
+        return np.real(g @ (1.0 / (mu[:, None] / 2.0 - 1j * np.atleast_1d(omega)[None, :])))
+
+    def scalar(omega):
+        return float(value(omega)[0])
+
+    spectrum = value(omega_grid)
+    i = int(np.argmax(spectrum))
+    lo, hi = omega_grid[max(i - 1, 0)], omega_grid[min(i + 1, omega_grid.size - 1)]
+    peak_omega, peak = regression._golden_max(scalar, lo, hi)
+    step = max((omega_grid[-1] - omega_grid[0]) / (omega_grid.size - 1), np.min(mu.real) / 8.0)
+    left = regression._half_crossing(scalar, peak_omega, -step, peak / 2.0)
+    right = regression._half_crossing(scalar, peak_omega, step, peak / 2.0)
+    return spectrum, right - left
+
+
+@pytest.mark.parametrize(
+    "r, n_th, g_tau, tau_dist, complex_modes",
+    [
+        (50.0, 0.01, 0.35, FixedTau(1.0), False),
+        (200.0, 0.1, 0.4665, FixedTau(1.0), False),
+        (50.0, 0.0, 0.3, ExponentialTau(1.0), False),
+        (50.0, 0.01, 1.2, FixedTau(1.0), True),
+        (50.0, 0.01, 1.35, FixedTau(1.0), True),
+    ],
+    ids=["fixed_r50", "fixed_r200", "exp_r50", "complex_1.2", "complex_1.35"],
+)
+def test_real_spectrum_matches_the_complex_formula(r, n_th, g_tau, tau_dist, complex_modes):
+    """At the points of the spectrum command (its window and grids), S(w)
+    within 1e-13 of the peak and the FWHM within 1e-13 relative of the
+    complex formula, on real and complex modes."""
+    p = MaserParams(1.0, n_th, r, g_tau, tau_dist)
+    stats = steady_state(p)
+    v0 = initial_sideband(stats)
+    lo, hi = coherence_window(v0)
+    dec = spectral_decomposition(build_sideband_generator(p, stats.N).window(lo, hi), v0[lo:hi])
+    keep = np.abs(dec.weights) > regression.WEIGHT_FLOOR * np.sum(np.abs(dec.weights))
+    assert bool(np.any(dec.mu[keep].imag)) == complex_modes
+    d = dec.linewidth
+    omega = np.linspace(-4.0 * d, 4.0 * d, 513)
+    spectrum, fwhm = spectrum_and_fwhm(dec, omega)
+    spectrum_ref, fwhm_ref = _complex_spectrum_and_fwhm(dec, omega)
+    assert np.max(np.abs(spectrum - spectrum_ref)) <= 1e-13 * spectrum_ref.max()
+    assert fwhm == pytest.approx(fwhm_ref, rel=1e-13, abs=0)

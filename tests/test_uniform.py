@@ -25,6 +25,7 @@ from maserline import (
     uniform_linewidth,
     uniform_steady_state,
 )
+from maserline import uniform
 from maserline.linewidth import jump_operator_matrices, pump_weights
 
 
@@ -284,3 +285,29 @@ def test_anticommutator_norm_per_family():
         assert family.anticommutator_norm(s) == 1.0
     laguerre = build_uniform_lindblad(exp, (3, 2))
     assert np.all(laguerre.anticommutator_norm(s) < 1.0)
+
+
+def test_a_generator_build_evaluates_each_coefficient_table_once(monkeypatch):
+    """build_sideband_generator reads the tables of 4 distinct arguments 7
+    times; the family computes each once, and hands out read-only tables."""
+    calls = []
+    powers = uniform._laguerre_powers
+
+    def counted(x, order):
+        calls.append(np.shape(x))
+        return powers(x, order)
+
+    monkeypatch.setattr(uniform, "_laguerre_powers", counted)
+    p = MaserParams(kappa=1.0, n_th=0.05, r=40.0, g=0.3, tau_dist=ExponentialTau(1.0))
+    family = build_uniform_lindblad(p, (3, 2))
+    gen = build_sideband_generator(p, 120, family)
+    assert calls == [(120,), (120,), (120,), ()]
+    again = build_sideband_generator(p, 120, family)
+    assert len(calls) == 4
+    for name in ("sub", "diag", "sup"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(gen, name))
+    cos, sin = family._tables(np.sqrt(np.arange(120.0)))
+    with pytest.raises(ValueError):
+        cos[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        sin[0, 0] = 1.0

@@ -29,6 +29,7 @@ act as independent error detectors for each other.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -47,6 +48,7 @@ TRAPPING_SINC_TOL = 1e-15
 _LADDER = (8, 16, 32, 64, 128, 256, 512)
 
 
+@functools.lru_cache(maxsize=32)
 def _gauss_laguerre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Golub-Welsch rule for the weight exp(-x) on [0, inf).
 
@@ -54,6 +56,9 @@ def _gauss_laguerre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     off-diagonal k; nodes are its eigenvalues and each weight is the
     squared first eigenvector component (the measure has unit mass).
     Stable at large n where upstream recurrence evaluations overflow.
+
+    The rule depends on ``n_nodes`` alone, so it is solved once per node
+    count and its arrays are read-only; a failure raises and is not kept.
     """
     from scipy.linalg import eigh_tridiagonal  # imported on use: off the package's import path
 
@@ -65,6 +70,8 @@ def _gauss_laguerre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     w = q[0, :] ** 2
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
         raise QuadratureError(f"Gauss-Laguerre rule with {n_nodes} nodes returned non-finite data")
+    x.flags.writeable = False
+    w.flags.writeable = False
     return x, w
 
 
@@ -161,6 +168,9 @@ class TrigAverages:
                 return cls(g_bar=params.g_bar)
         elif n_nodes is not None:
             raise ValueError(f"{type(dist).__name__} has its own nodes; n_nodes={n_nodes} selects no rule")
+        if isinstance(dist, FixedTau):
+            # the point mass of quadrature_nodes, without building a node list
+            return cls(gtaus=np.array([params.g * dist.tau]), weights=np.array([1.0]))
         nodes = quadrature_nodes(dist, 1 if n_nodes is None else n_nodes)
         return cls(gtaus=params.g * nodes.taus, weights=nodes.weights)
 

@@ -15,6 +15,11 @@ count at least 1.  A bad value, or an --out that cannot be written, exits
 2 with a ConfigError.  Output is CSV (17 significant digits) or JSON,
 whose rows list their keys in the CSV column order.  Cells are never NaN/Inf: undefined values are left empty in
 CSV, absent from JSON rows, and flagged in the status column.
+
+``main(argv)`` may be called repeatedly in one process: the first call
+builds the argument parser and later calls reuse it, since a parse leaves
+no state in the parser.  The process pool is imported only when ``--jobs``
+starts more than one worker.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -414,11 +418,14 @@ def _map_ordered(fn, tasks, jobs: int) -> list:
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # imported on use: off the package's import path
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the four subcommands on each call."""
     parser = argparse.ArgumentParser(
         prog="maserline",
         description="Micromaser photon statistics and linewidth scans.",
@@ -457,9 +464,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser of main(), built on its first call; parse_args makes a new
+# namespace per call, fock-resolved's append action copies its list and no
+# default is ever set after the build, so a parse leaves the parser as it was
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         cfg = _load_config(args)
         if args.command == "fock-resolved":

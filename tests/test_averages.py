@@ -113,6 +113,79 @@ def test_quadrature_rejects_zero_nodes():
         quadrature_nodes(ExponentialTau(1.0), 0)
 
 
+@pytest.mark.parametrize("g, tau", [
+    (0.3, 1.0), (1.0 / 3.0, 0.7), (math.pi / math.sqrt(50.0), 1.0), (2.5e-3, 1e3 / 7.0), (1e5, 1.1e-5),
+])
+def test_fixed_tau_family_is_the_point_mass_node_list(g, tau):
+    """The fixed-tau family holds the Rabi angle and weight of the
+    ``quadrature_nodes`` point mass, bit for bit."""
+    params = MaserParams(1.0, 0.0, 50.0, g, FixedTau(tau))
+    gtaus, weights = TrigAverages.for_params(params).point_data
+    nodes = quadrature_nodes(params.tau_dist, 1)
+    assert gtaus.dtype == weights.dtype == np.float64
+    assert gtaus.tobytes() == (params.g * nodes.taus).tobytes()
+    assert weights.tobytes() == nodes.weights.tobytes()
+
+
+def test_gauss_laguerre_rule_is_solved_once_per_node_count(monkeypatch):
+    """A second exponential trace reuses the ladder's rules: it runs no
+    eigen solve and gives the first value bit for bit.  The kept arrays
+    are read-only, so no caller can change a later caller's rule."""
+    import scipy.linalg
+
+    from maserline import averages, linewidth_lindblad_trace, steady_state
+
+    params = MaserParams(1.0, 0.0, 50.0, 0.3, ExponentialTau(1.0))
+    stats = steady_state(params)
+    solves = []
+    solve = scipy.linalg.eigh_tridiagonal
+
+    def counted(d, e, *args, **kwargs):
+        solves.append(d.size)
+        return solve(d, e, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    averages._gauss_laguerre.cache_clear()
+    first = linewidth_lindblad_trace(params, stats)
+    assert solves[:2] == [8, 16]
+    ladder = list(solves)
+    solves.clear()
+    second = linewidth_lindblad_trace(params, stats)
+    assert solves == []
+    assert second.hex() == first.hex()
+    x, w = averages._gauss_laguerre(ladder[-1])
+    for array in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+@pytest.mark.parametrize("broken", ["raises", "non-finite"])
+def test_a_failed_gauss_laguerre_rule_raises_on_every_call(monkeypatch, broken):
+    """A failed rule is a QuadratureError each time it is asked for; the
+    failure is not kept, so the rule is solved again once the solver works."""
+    import scipy.linalg
+
+    from maserline import averages
+
+    calls = []
+
+    def failing(d, e):
+        calls.append(d.size)
+        if broken == "raises":
+            raise np.linalg.LinAlgError("no convergence")
+        return np.full(d.size, np.nan), np.eye(d.size)
+
+    averages._gauss_laguerre.cache_clear()
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", failing)
+    for _ in range(2):
+        with pytest.raises(QuadratureError, match="with 5 nodes"):
+            quadrature_nodes(ExponentialTau(1.0), 5)
+    assert calls == [5, 5]
+    monkeypatch.undo()
+    nodes = quadrature_nodes(ExponentialTau(1.0), 5)
+    assert float(nodes.weights @ nodes.taus) == pytest.approx(1.0, abs=1e-13)
+
+
 def test_gain_reconstruction_matches_rational_form():
     """The exponential average of theta^2 sinc^2(g tau sqrt(n+1)) must equal
     2 theta_bar^2 / (1 + 4 g_bar^2 (n+1)) identically."""

@@ -18,6 +18,7 @@ import importlib.util
 import inspect
 import json
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -142,3 +143,30 @@ def test_traced_workload_spans(workload, capsys):
     seen = spans.spans()
     assert set(WORKLOADS.EXPECTED_SPANS[workload]) <= seen
     assert not seen & set(WORKLOADS.PREDICTED_ZERO[workload])
+
+
+def test_operations_in_one_process_match_a_fresh_process_each(capsys):
+    """``main`` reuses one parser within a process: the seed-0 spectrum
+    operations and one scan-theta operation, run one after another here,
+    give the bytes each gives in a fresh interpreter."""
+    ops = [*WORKLOADS.build_ops("spectrum", 0),
+           next(op for op in WORKLOADS.build_ops("scan", 0) if op.command == "scan-theta")]
+    fresh = [subprocess.Popen([sys.executable, "-m", "maserline", *op.argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) for op in ops]
+    try:
+        in_process = []
+        for op in ops:
+            code = maserline.cli.main(list(op.argv))
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out.encode(), captured.err.encode()))
+        separate = []
+        for proc in fresh:
+            out, err = proc.communicate(timeout=60)
+            separate.append((proc.returncode, out, err))
+    finally:
+        for proc in fresh:
+            proc.kill()
+            proc.wait()
+    for op, outcome, expected in zip(ops, in_process, separate):
+        assert outcome == expected, op.key
+        assert outcome[0] == 0

@@ -1,5 +1,6 @@
 """Command-line front end: formats, reproducibility, error contracts."""
 
+import concurrent.futures
 import itertools
 import json
 import math
@@ -883,26 +884,32 @@ def test_import_path_leaves_out_scipy_integrate():
 
 def test_import_path_and_scan_commands_leave_out_scipy():
     """Importing the package, building the parser and running the three
-    scan commands load no scipy at all; the eigen solve of ``spectrum``
-    loads ``scipy.linalg`` on its first call."""
+    scan commands at one worker load no scipy and no process pool
+    (``multiprocessing``) at all; the eigen solve of ``spectrum`` loads
+    ``scipy.linalg`` on its first call."""
     import subprocess
     import sys
 
     code = (
         "import contextlib, io, sys, maserline, maserline.cli; maserline.cli.build_parser(); "
-        "report = ['scipy' in sys.modules]; "
-        "argvs = [['scan-theta', '--rate', '50', '--steps', '3'], "
+        "report = ['scipy' in sys.modules, 'multiprocessing' in sys.modules]; "
+        "argvs = [['scan-theta', '--rate', '50', '--steps', '3', '--jobs', '1'], "
         "['fock-resolved', '--rate', '200', '--nth', '0.1', '--g-tau', '0.4665'], "
-        "['uniform-convergence', '--dist', 'exp', '--steps', '3'], "
+        "['uniform-convergence', '--dist', 'exp', '--steps', '3', '--jobs', '1'], "
         "['spectrum', '--rate', '50', '--nth', '0.01', '--g-tau', '0.35']]\n"
         "for argv in argvs:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        report += [maserline.cli.main(argv), 'scipy' in sys.modules]\n"
+        "        report += [maserline.cli.main(argv), 'scipy' in sys.modules, 'multiprocessing' in sys.modules]\n"
         "print(*report, 'scipy.linalg' in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "0", "False", "0", "False", "0", "False", "0", "True", "True"]
+    report = proc.stdout.split()
+    # import and parser; then per command: exit code, scipy, multiprocessing
+    assert report[:2] == ["False", "False"]
+    assert report[2:11] == ["0", "False", "False"] * 3
+    assert report[11:13] == ["0", "True"]
+    assert report[-1] == "True"
 
 
 def test_scan_theta_below_threshold_at_rate_1e4(tmp_path, capsys):
@@ -951,13 +958,102 @@ def test_parallel_rows_start_no_more_workers_than_rows(monkeypatch, capsys):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(maserline.cli, "ProcessPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
     for jobs, cpus, expected in (("64", 8, [3]), ("5000", 2, [2]), ("64", 1, []), ("64", None, [])):
         requested.clear()
         monkeypatch.setattr(maserline.cli.os, "cpu_count", lambda cpus=cpus: cpus)
         assert main(["scan-theta", "--rate", "50", "--steps", "3", "--jobs", jobs]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2 + 3
         assert requested == expected, (jobs, cpus)
+
+
+def _fresh_parser(monkeypatch):
+    """Make the next main() call build its parser anew."""
+    monkeypatch.setattr(maserline.cli, "_PARSER", None, raising=False)
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one main() call; argparse exits through SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_SCAN_ONE = ["scan-theta", "--rate", "50", "--nth", "0.01", "--min", "1.5", "--max", "1.5", "--steps", "1"]
+_SPECTRUM = ["spectrum", "--rate", "50", "--nth", "0.01", "--g-tau", "0.35"]
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
+    """main() builds its parser on the first call, and an argparse refusal
+    does not make the next call build another."""
+    built = []
+    build = maserline.cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    _fresh_parser(monkeypatch)
+    monkeypatch.setattr(maserline.cli, "build_parser", counted)
+    for argv in (_SCAN_ONE, ["fock-resolved", "--rate", "50", "--g-tau", "0.3"], ["spectrum", "--rate", "fifty"],
+                 _SCAN_ONE):
+        _outcome(argv, capsys)
+    assert built == [1]
+    # the public builder still returns a new parser on every call
+    assert build() is not build()
+
+
+# (first call, next call): the first one's arguments must not reach the next
+_CALL_PAIRS = {
+    "repeated-g-tau": (["fock-resolved", "--rate", "50", "--g-tau", "0.3", "--g-tau", "0.35"],
+                       ["fock-resolved", "--rate", "50", "--g-tau", "0.4"]),
+    "g-tau-field": (_SPECTRUM, ["fock-resolved", "--rate", "50", "--g-tau", "0.4"]),
+    "config-file": (["scan-theta", "--config", "{config}"], _SCAN_ONE),
+    "nodes": (["spectrum", "--rate", "50", "--dist", "exp", "--g-tau", "0.3", "--nodes", "16"], _SPECTRUM),
+    "bad-number": (["spectrum", "--rate", "fifty"], _SPECTRUM),
+    "bad-choice": (["scan-theta", "--format", "xml", "--rate", "60"], _SCAN_ONE),
+    "bad-command": (["scan"], ["fock-resolved", "--rate", "50", "--g-tau", "0.4"]),
+}
+
+
+@pytest.mark.parametrize("first, then", _CALL_PAIRS.values(), ids=_CALL_PAIRS)
+def test_a_call_leaves_nothing_in_the_reused_parser(tmp_path, monkeypatch, capsys, first, then):
+    """The call after another gives what it gives on a freshly built parser:
+    repeated flags, a config file, exp-only options and argparse's refusals
+    (exit 2) do not carry over."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"kappa": 2.0, "rate": 60, "min": 1.0, "max": 1.0, "steps": 1, "format": "json"}))
+    first = [str(config) if arg == "{config}" else arg for arg in first]
+    _fresh_parser(monkeypatch)
+    expected = _outcome(then, capsys)
+    assert expected[0] == 0
+    _fresh_parser(monkeypatch)
+    _outcome(first, capsys)
+    assert _outcome(then, capsys) == expected
+    if then[0] == "fock-resolved":
+        rows = [line.split(",") for line in expected[1].splitlines()[2:]]
+        assert {row[0] for row in rows} == {"0.40000000000000002"}  # one block, one curve
+        assert [int(row[2]) for row in rows] == list(range(len(rows)))
+
+
+_HELP_ARGVS = [["--help"]] + [[command, "--help"] for command in maserline.cli._ALL]
+
+
+def test_help_texts_do_not_depend_on_earlier_calls(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    first = {}
+    for argv in _HELP_ARGVS:
+        _fresh_parser(monkeypatch)
+        first[argv[0]] = _outcome(argv, capsys)
+        assert first[argv[0]][0] == 0
+        assert first[argv[0]][1].startswith("usage: maserline")
+    for argv in (_SCAN_ONE, _CALL_PAIRS["repeated-g-tau"][0], _CALL_PAIRS["bad-number"][0], ["scan"]):
+        _outcome(argv, capsys)
+    for argv in _HELP_ARGVS:
+        assert _outcome(argv, capsys) == first[argv[0]]
 
 
 def test_stdout_default(capsys):

@@ -43,6 +43,8 @@ _WEIGHT_FLOOR = 1e-300
 
 # |sinc| below this is treated as an exact trapping zero (n_th = 0 only).
 TRAPPING_SINC_TOL = 1e-15
+# np.sinc evaluates sin(y)/y at this y where y == 0
+_SINC_EPS = np.finfo(float).eps
 
 # node counts of the Gauss-Laguerre refinement ladder
 _LADDER = (8, 16, 32, 64, 128, 256, 512)
@@ -230,11 +232,18 @@ class TrigAverages:
         if self._gtaus is None:
             a = self._g_bar * s
             return 2.0 * self._g_bar**2 / (1.0 + 4.0 * a * a)
-        arg = self._outer(s)
-        sinc = np.sinc(arg / np.pi)  # numpy sinc is sin(pi x)/(pi x)
+        # sinc(g tau s) in the steps of np.sinc(arg / pi): y = pi (arg / pi), sin(y) / y
+        y = self._outer(s)
+        np.multiply(np.pi, np.divide(y, np.pi, out=y), out=y)
+        np.copyto(y, _SINC_EPS, where=y == 0.0)
+        sinc = np.sin(y)
+        sinc /= y
         if snap_trapping:
-            sinc = np.where(np.abs(sinc) < TRAPPING_SINC_TOL, 0.0, sinc)
-        return self._contract((self._gtaus**2)[:, None] * sinc * sinc)
+            sinc[np.abs(sinc) < TRAPPING_SINC_TOL] = 0.0
+        # (g tau)^2 sinc^2, multiplied in that order, in the buffer of y
+        np.multiply((self._gtaus**2)[:, None], sinc, out=y)
+        y *= sinc
+        return self._contract(y)
 
     def squared_differences(self, n):
         """The squared trig differences of the pump weights at photon
@@ -317,7 +326,7 @@ class TrigAverages:
         np.multiply.outer(gtaus, phi, out=cos)
         # sinc(g tau phi) in the steps of np.sinc(arg / pi): y = pi (arg / pi), sin(y) / y
         np.multiply(np.pi, np.divide(cos, np.pi, out=gain), out=gain)
-        np.copyto(gain, np.finfo(float).eps, where=gain == 0.0)
+        np.copyto(gain, _SINC_EPS, where=gain == 0.0)
         np.cos(cos, out=cos)
         np.divide(np.sin(gain), gain, out=gain)
         gain *= gtaus[:, None]

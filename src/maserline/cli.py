@@ -367,7 +367,7 @@ def _parse_orders(text: str) -> list[tuple[int, int]]:
 
 
 def _uniform_row(task) -> dict:
-    cfg, theta_bar, orders = task
+    cfg, theta_bar, families = task
     g_bar = float(cfg["g_tau"])
     rate = (theta_bar / g_bar) ** 2 * float(cfg["kappa"])
     base = dict(cfg, rate=rate)
@@ -384,8 +384,8 @@ def _uniform_row(task) -> dict:
     except VacuumStateError:
         row["status"] = "vacuum"
         return row
-    for order_pair in orders:
-        row[f"D_order_{order_pair[0]}"] = uniform_linewidth(params, build_uniform_lindblad(params, order_pair), stats.N)
+    for order_sin, family in families:
+        row[f"D_order_{order_sin}"] = uniform_linewidth(params, family, stats.N)
     return row
 
 
@@ -405,7 +405,11 @@ def cmd_uniform_convergence(cfg: dict) -> None:
                           "beyond the float range")
     columns = ["theta_bar", "n_mean", "D_exact", "D_exp_scully"]
     columns += [f"D_order_{o[0]}" for o in orders] + ["status"]
-    tasks = [(cfg, tb, orders) for tb in theta_bars]
+    # a family depends on g_bar = g tau_bar, not on the row's rate: the rows
+    # share one per order pair, and with it its coefficient tables
+    base = _params_from_config(dict(cfg, rate=0.0))
+    families = [(o[0], build_uniform_lindblad(base, o)) for o in orders]
+    tasks = [(cfg, tb, families) for tb in theta_bars]
     rows = _map_ordered(_uniform_row, tasks, int(cfg["jobs"]))
     table = {name: [row.get(name) for row in rows] for name in columns}
     meta = {"threshold_theta_bar": THRESHOLD_THETA_BAR, "scan": "theta_bar via rate"}

@@ -12,6 +12,7 @@ below threshold.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,11 @@ TAIL_TOL = 1e-12
 NORMALIZATION_TOL = 1e-12
 # largest basis the truncation search may choose
 HARD_LIMIT = 20000
+# exp(x) is exactly 0.0 for x below about -745.13: log p this far below the
+# peak is a level whose p_n is zero
+UNDERFLOW_LOG = 746.0
+# links in the truncation search's first chunk of the recurrence
+FIRST_CHUNK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,14 +67,15 @@ class PhotonStatistics:
         p = np.asarray(p, dtype=float)
         return cls(p / p.sum(), p.size - 1, 0.0)
 
-    @property
+    @functools.cached_property
     def mean(self) -> float:
+        """Mean photon number, computed on first read (p is fixed)."""
         return float(np.arange(self.p.size) @ self.p)
 
     @property
     def variance(self) -> float:
         n = np.arange(self.p.size)
-        m = float(n @ self.p)
+        m = self.mean
         return float((n * n) @ self.p) - m * m
 
     def on_support(self) -> "PhotonStatistics":
@@ -85,19 +92,24 @@ class PhotonStatistics:
         the eigen expansion) can move probability into the dropped levels
         and need the full basis.
         """
-        nonzero = np.flatnonzero(self.p)
-        n_cut = max(int(nonzero[-1]) + 1, 2)
+        # the first nonzero level from the top is the last one
+        last = self.N - int((self.p != 0.0)[::-1].argmax())
+        n_cut = max(last + 1, 2)
         if n_cut >= self.N:
             return self
         return PhotonStatistics(self.p[: n_cut + 1].copy(), n_cut, self.tail_mass_bound)
 
 
-def recurrence_ratios(params: MaserParams, N: int, averages: TrigAverages | None = None) -> np.ndarray:
-    """Ratios p_{n+1}/p_n for n = 0..N-1 of the detailed-balance recurrence."""
+def recurrence_ratios(
+    params: MaserParams, N: int, averages: TrigAverages | None = None, lo: int = 0
+) -> np.ndarray:
+    """Ratios p_{n+1}/p_n for n = lo..N-1 of the detailed-balance recurrence.
+
+    Each ratio depends on its own level only, so a range gives the same
+    bits as the slice of the ratios from 0."""
     if averages is None:
         averages = TrigAverages.for_params(params)
-    n = np.arange(N, dtype=float)
-    s_up = np.sqrt(n + 1.0)
+    s_up = np.sqrt(np.arange(lo + 1.0, N + 1.0))
     gain = params.n_ex * averages.pump_gain(s_up, snap_trapping=(params.n_th == 0.0))
     return (params.n_th + gain) / (1.0 + params.n_th)
 
@@ -110,10 +122,19 @@ def statistics_from_ratios(ratios: np.ndarray) -> np.ndarray:
         raise ValueError("recurrence ratios must be non-negative")
     with np.errstate(divide="ignore"):
         log_r = np.log(ratios)
-    log_p = np.concatenate(([0.0], np.cumsum(log_r)))
-    log_p -= np.max(log_p)
-    p = np.exp(log_p)
-    return p / p.sum()
+    return _normalized(np.concatenate(([0.0], np.cumsum(log_r))), ratios.size)
+
+
+def _normalized(log_p: np.ndarray, N: int) -> np.ndarray:
+    """p_0..p_N from log p on the levels 0..log_p.size-1 and zeros above.
+
+    The sum runs over all N + 1 levels, so its pairwise blocks, and the
+    bits of p, are those of the whole-length array whose top levels
+    underflow to zero."""
+    p = np.zeros(N + 1)
+    np.exp(log_p - np.max(log_p), out=p[: log_p.size])
+    p /= p.sum()
+    return p
 
 
 def _tail_bound(p: np.ndarray, next_ratio: float) -> float:
@@ -156,13 +177,52 @@ def steady_state(
     return PhotonStatistics(p, N, _tail_bound(p, float(ratios[N])))
 
 
+def _fallen_by(params: MaserParams, lo: int, gap: float, limit: int) -> int:
+    """A level by which log p has fallen by more than ``gap`` below log p_lo,
+    or ``limit`` if that is lower.
+
+    Every link ratio is at most b(n) = (n_th + n_ex/(n+1)) / (1 + n_th),
+    since the gain is at most n_ex/(n+1) for any tau, and b falls with n;
+    so each link of a run from n on lowers log p by at least -log b(n).
+    """
+    n, fall = lo, 0.0
+    step = max(FIRST_CHUNK // 4, lo // 8)
+    while fall <= gap and n < limit:
+        bound = (params.n_th + params.n_ex / (n + 1.0)) / (1.0 + params.n_th)
+        if bound < 1.0:
+            fall -= step * math.log(bound)
+        n += step
+    return min(n + 1, limit)
+
+
 def auto_truncation(params: MaserParams) -> PhotonStatistics:
     """Statistics on a truncation N with the recurrence contracting on
     N/4 <= n < N and an adequately small tail, from default averages.
 
     Candidates double on failure up to :data:`HARD_LIMIT` levels.  The
-    recurrence is evaluated on N + 1 links per candidate, so the accepted
-    one already holds p and the ratio at the edge for the tail bound.
+    recurrence is evaluated in chunks of links from level 0 that serve
+    every candidate: each chunk's log ratios are taken once and continue
+    one running sum.  Evaluation stops at a level L once both hold:
+
+    (i) L is past the level from which every link ratio contracts by the
+        bound the candidate rule rests on: the gain is at most n_ex/(n+1)
+        for any tau, and at most the pump n_ex (g tau_max)^2 for a fixed
+        tau or a node list; the closed exponential gain is below 1 past
+        the crossing;
+    (ii) log p_L lies more than :data:`UNDERFLOW_LOG` below its running
+         maximum, or a trapping zero was hit.
+
+    The first chunk reaches the level of (i), and at least
+    :data:`FIRST_CHUNK` links; each later one ends where the bound
+    n_ex/(n+1) makes (ii) certain, or at the candidate's edge.
+
+    From L on log p only falls, so every later p_n is exactly 0.0, as it
+    is when the whole candidate is solved.  p is zero-filled there and
+    normalized over all N + 1 levels, so p, N and the tail bound are the
+    bits of ``steady_state(params, N)``.  The numeric contraction check
+    runs on the evaluated links of [N/4, L); (i) covers the rest.  A
+    candidate evaluated to its edge has the edge ratio for the tail bound;
+    one stopped before it has p_N = 0 and tail bound 0.
     """
     n_ex = params.n_ex
     if params.r == 0.0:
@@ -172,30 +232,58 @@ def auto_truncation(params: MaserParams) -> PhotonStatistics:
         q = params.n_th / (1.0 + params.n_th)
         needed = math.ceil(-12.0 * math.log(10.0) / math.log(q)) if q > 0 else 1
         candidate = max(50, 2 * needed)
+        reach = 0.0
     elif isinstance(params.tau_dist, ExponentialTau):
         # the ratio contracts beyond the crossing, <= 0 unless 2 theta_bar^2 > 1;
         # a crossing beyond the hard limit only needs to exceed it
         excess = 2.0 * params.theta_bar**2 - 1.0
         crossing = excess / (4.0 * params.g_bar**2) if excess > 0.0 else 0.0
-        candidate = math.ceil(4.0 * max(50.0, min(crossing, HARD_LIMIT)))
+        reach = min(crossing, HARD_LIMIT)
+        candidate = math.ceil(4.0 * max(50.0, reach))
     else:
         # gain(n) <= n_ex/(n+1) and gain(n) <= pump = n_ex (g tau_max)^2, so the
         # ratio contracts beyond n_ex, and everywhere when the pump is below 1
         angle = params.g * params.tau_scale
         reach = min(n_ex, HARD_LIMIT) if n_ex * (angle * angle) >= 1.0 else 0.0
         candidate = math.ceil(4.0 * max(50.0, reach))
+    settled = math.ceil(reach)  # every link n >= settled contracts
 
+    averages = TrigAverages.for_params(params)
+    ratio_chunks, log_chunks = [], [np.zeros(1)]  # log p_0 = 0
+    hi = 0  # links 0..hi-1 are evaluated, log p on levels 0..hi
+    peak = 0.0  # running maximum of log p
+    zero_beyond = False  # every level past hi has p_n == 0
     while True:
         if candidate > HARD_LIMIT:
             raise ResourceLimitError(
                 f"adequate truncation exceeds the hard limit of {HARD_LIMIT} levels"
             )
-        ratios = recurrence_ratios(params, candidate + 1, None)
-        if np.all(ratios[candidate // 4 : candidate] < 1.0):
-            p = statistics_from_ratios(ratios[:candidate])
-            top = p[-1]
-            if top == 0.0 or top <= TAIL_TOL * p.max():
-                return PhotonStatistics(p, candidate, _tail_bound(p, float(ratios[candidate])))
+        with np.errstate(divide="ignore"):  # a trapping zero has log ratio -inf
+            while hi <= candidate and not zero_beyond:
+                lo = hi
+                if lo == 0:
+                    hi = min(max(FIRST_CHUNK, settled), candidate + 1)
+                else:
+                    gap = float(log_chunks[-1][-1]) - peak + UNDERFLOW_LOG
+                    hi = _fallen_by(params, lo, gap, candidate + 1)
+                chunk = recurrence_ratios(params, hi, averages, lo)
+                log_p = np.log(chunk)
+                # continue the running sum: the bits of one cumsum from level 0
+                log_p[0] += log_chunks[-1][-1]
+                log_p.cumsum(out=log_p)
+                ratio_chunks.append(chunk)
+                log_chunks.append(log_p)
+                peak = max(peak, float(log_p.max()))
+                zero_beyond = hi >= settled and log_p[-1] < peak - UNDERFLOW_LOG
+        ratios = np.concatenate(ratio_chunks)
+        log_p = np.concatenate(log_chunks)
+        top = min(hi, candidate)
+        if np.all(ratios[candidate // 4 : top] < 1.0):
+            p = _normalized(log_p[: top + 1], candidate)
+            if p[-1] == 0.0 or p[-1] <= TAIL_TOL * p.max():
+                # p_N == 0 when the edge link was not evaluated: the bound reads no ratio
+                edge = float(ratios[candidate]) if hi > candidate else 0.0
+                return PhotonStatistics(p, candidate, _tail_bound(p, edge))
         candidate *= 2
 
 

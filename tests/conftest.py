@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import maserline.steady
 from maserline import ExponentialTau, FixedTau, MaserParams
 
 
@@ -33,3 +34,26 @@ def laser_params():
         return MaserParams(kappa=kappa, n_th=n_th, r=r, g=g_bar * kappa, tau_dist=ExponentialTau(1.0 / kappa))
 
     return make
+
+
+class _RecurrenceCalls(list):
+    """End level N of each ``recurrence_ratios`` call, in call order."""
+
+    levels = 0  # ratios returned over all calls
+
+
+@pytest.fixture
+def recurrence_calls(monkeypatch):
+    """Counts the calls of ``maserline.steady.recurrence_ratios``: the list
+    holds each call's end level N, ``.levels`` the ratios they returned."""
+    calls = _RecurrenceCalls()
+    original = maserline.steady.recurrence_ratios
+
+    def counted(*args, **kwargs):
+        ratios = original(*args, **kwargs)
+        calls.append(args[1])
+        calls.levels += ratios.size
+        return ratios
+
+    monkeypatch.setattr(maserline.steady, "recurrence_ratios", counted)
+    return calls

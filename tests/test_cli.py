@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import maserline.cli
-import maserline.steady
 from maserline import (
     ExponentialTau,
     FixedTau,
@@ -531,20 +530,12 @@ def test_spectrum_rejects_nonpositive_nodes(capsys, nodes):
 
 @pytest.mark.parametrize("extra, calls", [([], 1), (["--dist", "exp", "--nodes", "16"], 2)],
                          ids=["default-family", "nodes"])
-def test_spectrum_evaluates_the_recurrence_once_per_family(tmp_path, monkeypatch, extra, calls):
+def test_spectrum_evaluates_the_recurrence_once_per_family(tmp_path, recurrence_calls, extra, calls):
     """The truncation search evaluates the recurrence with the default
     family; only a --nodes rule needs it again on the chosen basis."""
-    seen = []
-    original = maserline.steady.recurrence_ratios
-
-    def counted(*args):
-        seen.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(maserline.steady, "recurrence_ratios", counted)
     code, _ = run(tmp_path, ["spectrum", "--rate", "50", "--nth", "0.01", "--g-tau", "0.35"] + extra)
     assert code == 0
-    assert len(seen) == calls
+    assert len(recurrence_calls) == calls
 
 
 def _full_basis_spectrum(params, averages):
@@ -833,6 +824,30 @@ def test_uniform_convergence_cells_are_the_uniform_linewidth(tmp_path, kappa):
         N = steady_state(params).N
         for pair in ((1, 0), (5, 4)):
             assert row[f"D_order_{pair[0]}"] == uniform_linewidth(params, build_uniform_lindblad(params, pair), N)
+
+
+def test_uniform_convergence_builds_each_family_once(tmp_path, monkeypatch):
+    """A family depends on g_bar, not on the row's rate, so all rows share
+    one family per order pair."""
+    built, used = [], []
+    build, linewidth = maserline.cli.build_uniform_lindblad, maserline.cli.uniform_linewidth
+
+    def counted_build(params, orders):
+        built.append(orders)
+        return build(params, orders)
+
+    def recorded_linewidth(params, averages, N):
+        used.append(averages)
+        return linewidth(params, averages, N)
+
+    monkeypatch.setattr(maserline.cli, "build_uniform_lindblad", counted_build)
+    monkeypatch.setattr(maserline.cli, "uniform_linewidth", recorded_linewidth)
+    argv = ["uniform-convergence", "--dist", "exp", "--orders", "1,0;3,2", "--min", "1.0",
+            "--max", "2.5", "--steps", "4"]
+    code, _ = run(tmp_path, argv)
+    assert code == 0
+    assert built == [(1, 0), (3, 2)]
+    assert len(used) == 8 and len({id(family) for family in used}) == 2
 
 
 def test_kappa_units_propagate(tmp_path):

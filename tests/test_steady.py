@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-import maserline.steady
 from maserline import (
     DenseLindblad,
     DiscreteTau,
@@ -216,21 +215,24 @@ def test_auto_truncation_crossing_beyond_float_range(dist, g):
         auto_truncation(p)
 
 
-def test_auto_truncation_below_threshold_starts_at_the_floor(maser_params, monkeypatch):
+def test_auto_truncation_below_threshold_starts_at_the_floor(maser_params, recurrence_calls):
     """With the pump r/kappa (g tau_max)^2 below 1 every link ratio is below
     1, so the search starts at 4*50 levels whatever r/kappa is."""
     p = MaserParams(kappa=1.0, n_th=0.0, r=1e308, g=1e-160, tau_dist=FixedTau(1.0))
     assert steady_state(p).N == 200
-    calls = []
-    original = maserline.steady.recurrence_ratios
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(maserline.steady, "recurrence_ratios", counted)
+    calls = recurrence_calls
+    calls.clear()
     stats = steady_state(maser_params(0.305, r=5000.0))
     assert calls[0] == 201 and stats.N == calls[-1] - 1 < 4 * 5000
+
+
+def test_auto_truncation_refuses_a_slow_tail_below_threshold():
+    """At a pump just below 1 and r/kappa = 1e300 the link ratios stay near
+    1 and the bound n_ex/(n+1) stays above 1 within the hard limit; the
+    candidates double to it and the search refuses with its typed limit."""
+    p = MaserParams(kappa=1.0, n_th=0.0, r=1e300, g=0.99999 / math.sqrt(1e300), tau_dist=FixedTau(1.0))
+    with pytest.raises(ResourceLimitError):
+        auto_truncation(p)
 
 
 THREE_NODES = DiscreteTau([0.7, 1.0, 1.3], [0.3, 0.4, 0.3])
@@ -312,17 +314,61 @@ def test_steady_state_takes_the_search_result(params):
     assert stats.tail_mass_bound == reference.tail_mass_bound
 
 
-def test_steady_state_evaluates_the_recurrence_once(monkeypatch):
-    calls = []
-    original = maserline.steady.recurrence_ratios
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(maserline.steady, "recurrence_ratios", counted)
+def test_steady_state_evaluates_the_recurrence_once(recurrence_calls):
+    calls = recurrence_calls
     stats = steady_state(SEARCH_CASES["fixed_r50"])
     assert calls == [stats.N + 1]  # the first candidate is accepted
+
+
+def _search_sample():
+    """Seeded records of every family the search serves: multi-lobe points
+    at r/kappa = 3000, theta near 2 pi and n_th <= 1e-3, whose statistics
+    have lobes beyond deep valleys below r/kappa; fixed tau and the
+    three-node list with n_th = 0 among them; the exponential closed form;
+    and r = 0."""
+    rng = np.random.default_rng(20)
+    sample = []
+    for _ in range(24):
+        theta = rng.uniform(1.9, 2.0) * math.pi
+        n_th = 0.0 if rng.random() < 0.25 else 10.0 ** rng.uniform(-4.0, -3.0)
+        sample.append(MaserParams(1.0, n_th, 3000.0, theta / math.sqrt(3000.0), FixedTau(1.0)))
+    for _ in range(40):
+        n_ex = 10.0 ** rng.uniform(0.0, 3.7)
+        theta = rng.uniform(0.05, 4.0) * math.pi
+        n_th = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-4.0, 0.5)
+        dist = FixedTau(1.0) if rng.random() < 0.5 else THREE_NODES
+        sample.append(MaserParams(1.0, n_th, n_ex, theta / math.sqrt(n_ex), dist))
+    for _ in range(12):
+        g_bar, theta_bar = rng.uniform(0.1, 1.0), rng.uniform(0.3, 4.0)
+        n_th = 0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-3.0, 0.0)
+        sample.append(MaserParams(1.0, n_th, (theta_bar / g_bar) ** 2, g_bar, ExponentialTau(1.0)))
+    for _ in range(6):
+        sample.append(MaserParams(1.0, 10.0 ** rng.uniform(-3.0, 1.0), 0.0, 1.0, FixedTau(1.0)))
+    return sample
+
+
+def test_search_gives_the_bits_of_the_whole_truncation_on_a_sample():
+    """The search evaluates the recurrence only until every later p_n is
+    exactly zero; on a seeded sample its statistics are still the bits of
+    solving the accepted truncation whole, and the ratios it did not
+    evaluate contract as the bound says."""
+    for params in _search_sample():
+        searched = auto_truncation(params)
+        reference = steady_state(params, searched.N)
+        assert np.array_equal(searched.p, reference.p), params
+        assert searched.tail_mass_bound == reference.tail_mass_bound, params
+        ratios = recurrence_ratios(params, searched.N)
+        assert np.all(ratios[searched.N // 4 :] < 1.0), params
+
+
+def test_search_evaluates_the_recurrence_to_the_support(maser_params, recurrence_calls):
+    """At r/kappa = 5000, theta = 2.5 pi the statistics end near n = 3000 of
+    a 20000-level truncation; the search evaluates at most twice
+    max(r/kappa, support) levels, not the whole candidate."""
+    stats = auto_truncation(maser_params(2.5, r=5000.0))
+    support = int(np.flatnonzero(stats.p)[-1]) + 1
+    assert stats.N == 20000 and support < 5000
+    assert 0 < recurrence_calls.levels <= 2 * max(5000, support)
 
 
 # -- cut to the nonzero support ------------------------------------------------

@@ -267,14 +267,14 @@ def auto_truncation(params: MaserParams) -> PhotonStatistics:
                     gap = float(log_chunks[-1][-1]) - peak + UNDERFLOW_LOG
                     hi = _fallen_by(params, lo, gap, candidate + 1)
                 chunk = recurrence_ratios(params, hi, averages, lo)
-                log_p = np.log(chunk)
+                log_chunk = np.log(chunk)
                 # continue the running sum: the bits of one cumsum from level 0
-                log_p[0] += log_chunks[-1][-1]
-                log_p.cumsum(out=log_p)
+                log_chunk[0] += log_chunks[-1][-1]
+                log_chunk.cumsum(out=log_chunk)
                 ratio_chunks.append(chunk)
-                log_chunks.append(log_p)
-                peak = max(peak, float(log_p.max()))
-                zero_beyond = hi >= settled and log_p[-1] < peak - UNDERFLOW_LOG
+                log_chunks.append(log_chunk)
+                peak = max(peak, float(log_chunk.max()))
+                zero_beyond = hi >= settled and log_chunk[-1] < peak - UNDERFLOW_LOG
         ratios = np.concatenate(ratio_chunks)
         log_p = np.concatenate(log_chunks)
         top = min(hi, candidate)

@@ -12,7 +12,6 @@ distributed interaction times.
 from .averages import TrigAverages, quadrature_nodes, refine_until_stable
 from .errors import (
     ConfigError,
-    IntegrationError,
     MaserlineError,
     QuadratureError,
     ResourceLimitError,
@@ -37,16 +36,12 @@ from .model import (
     MaserParams,
 )
 from .regression import (
-    DenseLindblad,
     SidebandGenerator,
     SpectralDecomposition,
     build_sideband_generator,
     correlate,
-    embed_sideband,
-    extract_sideband,
     initial_sideband,
     linewidth_from_slope,
-    offsector_mass,
     spectral_decomposition,
     spectrum_and_fwhm,
 )
@@ -67,11 +62,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "DenseLindblad",
     "DiscreteTau",
     "ExponentialTau",
     "FixedTau",
-    "IntegrationError",
     "LaguerreAverages",
     "LinewidthBreakdown",
     "MaserParams",
@@ -89,8 +82,6 @@ __all__ = [
     "build_sideband_generator",
     "build_uniform_lindblad",
     "correlate",
-    "embed_sideband",
-    "extract_sideband",
     "initial_sideband",
     "linewidth_components",
     "linewidth_exp_closed",
@@ -99,7 +90,6 @@ __all__ = [
     "linewidth_lindblad_trace",
     "linewidth_mcgowan",
     "linewidth_scully",
-    "offsector_mass",
     "quadrature_nodes",
     "refine_until_stable",
     "schawlow_townes_ratio",

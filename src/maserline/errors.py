@@ -22,15 +22,6 @@ class QuadratureError(MaserlineError):
     ran out of headroom before the target tolerance was met."""
 
 
-class IntegrationError(MaserlineError):
-    """Time integration of the dense oracle stopped before the end of the
-    requested grid."""
-
-    def __init__(self, message: str, t_reached: float | None = None):
-        super().__init__(message)
-        self.t_reached = t_reached
-
-
 class SpectralError(MaserlineError):
     """Eigen-decomposition of a sideband generator is unreliable or
     undefined: large residual, (near-)defective generator, sum-rule

@@ -223,11 +223,11 @@ class _Band:
     jump-operator trace, and every product of them, is of this form (the
     ladder operators sit on offsets +-1, the cosine operators on the
     diagonal), so the trace runs as literal matrix algebra at O(N) per
-    product and matrix.  ``np.asarray`` gives the dense matrices.
+    product and matrix.
     """
 
-    # numpy scalars and arrays must defer to the methods below; without this
-    # ``np.float64 * band`` would densify through ``__array__``.
+    # numpy scalars and arrays defer to the methods below: ``np.float64 * band``
+    # goes straight to ``__rmul__`` instead of through numpy's object path.
     __array_ufunc__ = None
 
     def __init__(self, k: int, values: np.ndarray):
@@ -267,13 +267,6 @@ class _Band:
         if self.k == 0:
             return self.values.sum(axis=-1)
         return np.zeros(self.values.shape[:-1])[()]
-
-    def __array__(self, dtype=None, copy=None):
-        dim = self.values.shape[-1]
-        dense = np.zeros(self.shape, dtype=self.values.dtype if dtype is None else dtype)
-        rows = np.arange(max(0, -self.k), min(dim, dim - self.k))
-        dense[..., rows, rows + self.k] = self.values[..., rows]
-        return dense
 
 
 def _shifted(values: np.ndarray, k: int) -> np.ndarray:
@@ -324,10 +317,10 @@ def jump_operator_matrices(
 
     Each operator has a single nonzero band (the diagonal or the first
     off-diagonal) and is returned as a single-band matrix that supports
-    ``@``, ``-``, scalar ``*``, ``.T`` and ``.trace()`` at O(dim) cost;
-    ``np.asarray(L)`` gives the dense matrix.  The pump operators are rows
-    of one array: the family's diagonals, scaled in place, with the gain
-    rows multiplied by adag in blocks of stacked rows.
+    ``@``, ``-``, scalar ``*``, ``.T`` and ``.trace()`` at O(dim) cost.
+    The pump operators are rows of one array: the family's diagonals,
+    scaled in place, with the gain rows multiplied by adag in blocks of
+    stacked rows.
 
     The closed exponential form has no finite operator set and raises
     ``ValueError``; a Gauss-Laguerre family ``for_params(params, n)`` has one.

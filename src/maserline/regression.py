@@ -20,8 +20,8 @@ S(omega) is evaluated in real arithmetic on per-mode arrays, and so are
 the peak and half-maximum searches of the FWHM.
 
 The boundary entries follow the truncated-operator convention (operators
-are literal matrices on N+1 levels), so a single application of the
-dense brute-force superoperator in this module reproduces G exactly,
+are literal matrices on N+1 levels), so G is exactly the literal
+superoperator on N+1 levels restricted to the coherence sector,
 including the last row.
 
 The window convention: :meth:`SidebandGenerator.window` restricts G to
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averages import TrigAverages
-from .errors import IntegrationError, SpectralError, VacuumStateError
+from .errors import SpectralError, VacuumStateError
 from .model import MaserParams
 from .steady import PhotonStatistics
 
@@ -100,13 +100,6 @@ class SidebandGenerator:
         sub, sup = self.sub[lo:hi].copy(), self.sup[lo:hi].copy()
         sub[0] = sup[-1] = 0.0
         return SidebandGenerator(sub, self.diag[lo:hi], sup, hi - lo, self.n_lo + lo)
-
-    def dense(self) -> np.ndarray:
-        return (
-            np.diag(self.diag)
-            + np.diag(self.sub[1:], -1)
-            + np.diag(self.sup[:-1], 1)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,80 +374,3 @@ def _half_crossing(f, start, step, half, max_doublings=200):
             outer = mid
     return 0.5 * (inner + outer)
 
-
-# ---------------------------------------------------------------------------
-# Dense brute-force oracle
-# ---------------------------------------------------------------------------
-
-
-class DenseLindblad:
-    """Literal dense superoperator built from a list of jump matrices.
-
-    Exists to cross-check the banded machinery: it knows nothing about
-    sectors, recurrences or detailed balance.
-    """
-
-    def __init__(self, jumps: list[np.ndarray]):
-        if not jumps:
-            raise ValueError("need at least one jump operator")
-        self.jumps = [np.asarray(L, dtype=float) for L in jumps]
-        self.dim = self.jumps[0].shape[0]
-        self.anticom = sum(L.T @ L for L in self.jumps)
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """d rho / dt for the full density matrix."""
-        out = -0.5 * (self.anticom @ rho + rho @ self.anticom)
-        for L in self.jumps:
-            out += L @ rho @ L.T
-        return out
-
-    def diagonal_rate_matrix(self) -> np.ndarray:
-        """Rate matrix R of the diagonal dynamics, dp/dt = R p.
-
-        diag(L diag(p) L^T) = (L o L) p, so R is assembled from the
-        literal jump matrices without any recurrence knowledge; it is the
-        brute-force path restricted to the photon-number populations.
-        """
-        gain = sum(L * L for L in self.jumps)
-        return gain - np.diag(np.diagonal(self.anticom))
-
-    def evolve(self, rho0: np.ndarray, t_grid, rtol: float = 1e-10) -> np.ndarray:
-        """Density matrices at the requested times, shape (len(t), dim, dim)."""
-        from scipy.integrate import solve_ivp  # imported on use: off the package's import path
-
-        t_grid = np.asarray(t_grid, dtype=float)
-        shape = rho0.shape
-        sol = solve_ivp(
-            lambda t, y: self.apply(y.reshape(shape)).ravel(),
-            (float(t_grid[0]), float(t_grid[-1])),
-            np.asarray(rho0, dtype=float).ravel(),
-            method="DOP853",
-            t_eval=t_grid,
-            rtol=rtol,
-            atol=1e-13,
-        )
-        if not sol.success:
-            reached = float(sol.t[-1]) if sol.t.size else float(t_grid[0])
-            raise IntegrationError(f"dense evolution stalled at t = {reached:g}", reached)
-        return sol.y.T.reshape(len(t_grid), *shape)
-
-
-def embed_sideband(v: np.ndarray, dim: int) -> np.ndarray:
-    """Place v on the matrix elements (n, n+1) of a dim x dim operator."""
-    P = np.zeros((dim, dim))
-    idx = np.arange(len(v))
-    P[idx, idx + 1] = v
-    return P
-
-
-def extract_sideband(P: np.ndarray) -> np.ndarray:
-    """Read the coherence sector back: the (n, n+1) elements."""
-    return np.diagonal(P, offset=1).copy()
-
-
-def offsector_mass(P: np.ndarray) -> float:
-    """Total |P_ij| outside the first upper off-diagonal."""
-    mask = np.ones_like(P, dtype=bool)
-    idx = np.arange(P.shape[0] - 1)
-    mask[idx, idx + 1] = False
-    return float(np.sum(np.abs(P[mask])))

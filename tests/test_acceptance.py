@@ -27,7 +27,6 @@ import numpy as np
 import pytest
 
 from maserline import (
-    DenseLindblad,
     ExponentialTau,
     FixedTau,
     MaserParams,
@@ -48,6 +47,7 @@ from maserline import (
     uniform_linewidth,
 )
 from maserline.linewidth import jump_operator_matrices, mcgowan_weights, pump_weights
+from oracle import DenseLindblad
 
 R_SCAN, NTH_SCAN = 50.0, 0.01
 THETAS = np.linspace(0.1 * math.pi, 4.0 * math.pi, 30)

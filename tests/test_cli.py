@@ -877,10 +877,10 @@ def test_module_entry_point():
 
 def test_import_path_leaves_out_scipy_integrate():
     """Importing the package and building the parser loads no time
-    stepper (only the dense oracle needs one) and no sparse-matrix package
-    (the jump-operator trace uses its own single-band matrices); a
-    ``spectrum`` command, whose g(t) is the eigen expansion, loads no time
-    stepper either."""
+    stepper (only the dense oracle of the tests needs one) and no
+    sparse-matrix package (the jump-operator trace uses its own
+    single-band matrices); a ``spectrum`` command, whose g(t) is the eigen
+    expansion, loads no time stepper either."""
     import subprocess
     import sys
 
@@ -895,6 +895,33 @@ def test_import_path_leaves_out_scipy_integrate():
     lines = proc.stdout.splitlines()  # the spectrum table sits between the two reports
     assert lines[0] == "False False"
     assert lines[-1] == "0 False"
+
+
+def test_package_source_imports_no_time_stepper():
+    """No module of the package mentions ``scipy.integrate``: no route
+    steps the master equation in time, and the dense oracle that does
+    lives in the tests."""
+    from pathlib import Path
+
+    package = Path(maserline.cli.__file__).parent
+    hits = [path.name for path in sorted(package.rglob("*.py")) if "scipy.integrate" in path.read_text()]
+    assert hits == []
+
+
+def test_readme_quick_start_runs():
+    """The README's library example runs as printed, and its two
+    linewidths, the exact route's total and the initial slope, agree."""
+    import re
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (block,) = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    breakdown, slope = proc.stdout.splitlines()
+    assert float(slope) == pytest.approx(float(breakdown.split()[0]), rel=1e-13, abs=0.0)
 
 
 def test_import_path_and_scan_commands_leave_out_scipy():

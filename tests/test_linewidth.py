@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from maserline import (
-    DenseLindblad,
     DiscreteTau,
     ExponentialTau,
     FixedTau,
@@ -32,6 +31,7 @@ from maserline import (
     steady_state,
 )
 from maserline.linewidth import _Band, _lowering_operator, jump_operator_matrices, mcgowan_weights, pump_weights
+from oracle import DenseLindblad, to_dense
 
 
 def point_statistics(n0, size=None):
@@ -178,7 +178,7 @@ def test_hermitian_jump_shift_leaves_dissipator_invariant(maser_params):
     rng = np.random.default_rng(11)
     p = maser_params(2.0)
     dim = 24
-    jumps = [np.asarray(L) for L in jump_operator_matrices(p, dim)]
+    jumps = [to_dense(L) for L in jump_operator_matrices(p, dim)]
     rho = rng.standard_normal((dim, dim))
     rho = rho + rho.T
     base = DenseLindblad(jumps).apply(rho)
@@ -200,7 +200,7 @@ def test_hermitian_jump_shift_leaves_linewidth_invariant(maser_params):
     def trace_value(shift):
         total = 0.0
         for k, L in enumerate(jump_operator_matrices(p, dim)):
-            L = np.asarray(L)
+            L = to_dense(L)
             if k == 2:
                 L = L + shift * np.eye(dim)
             Ldag = L.T
@@ -271,8 +271,8 @@ def test_band_jump_operators_are_the_literal_matrices(model):
     assert len(band) == len(dense)
     for L, ref in zip(band, dense):
         assert L.shape == (dim, dim)
-        np.testing.assert_allclose(np.asarray(L), ref, rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(np.asarray(L.T), ref.T, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(to_dense(L), ref, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(to_dense(L.T), ref.T, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("model", JUMP_MODELS, ids=[m[0] for m in JUMP_MODELS])
@@ -280,7 +280,7 @@ def test_band_trace_matches_dense_trace(model):
     _, params, n_nodes = model
     family = TrigAverages.for_params(params, n_nodes)
     stats = steady_state(params, 150)
-    dense = dense_trace_linewidth([np.asarray(L) for L in jump_operator_matrices(params, 151, family)], stats)
+    dense = dense_trace_linewidth([to_dense(L) for L in jump_operator_matrices(params, 151, family)], stats)
     assert linewidth_lindblad_trace(params, stats, family) == pytest.approx(dense, rel=1e-12)
 
 

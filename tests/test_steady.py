@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from maserline import (
-    DenseLindblad,
     DiscreteTau,
     ExponentialTau,
     FixedTau,
@@ -28,6 +27,7 @@ from maserline import (
     steady_state,
 )
 from maserline.linewidth import jump_operator_matrices
+from oracle import DenseLindblad
 from maserline.steady import HARD_LIMIT, TAIL_TOL, recurrence_ratios
 
 

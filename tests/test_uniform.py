@@ -8,7 +8,6 @@ from scipy.integrate import quad
 from scipy.special import eval_laguerre
 
 from maserline import (
-    DenseLindblad,
     ExponentialTau,
     FixedTau,
     LaguerreAverages,
@@ -27,6 +26,7 @@ from maserline import (
 )
 from maserline import uniform
 from maserline.linewidth import jump_operator_matrices, pump_weights
+from oracle import DenseLindblad, embed_sideband, extract_sideband, offsector_mass
 
 
 # -- coefficient family -------------------------------------------------------
@@ -173,7 +173,6 @@ def test_uniform_generator_matches_dense_oracle():
     fam = build_uniform_lindblad(p, (3, 2))
     gen = uniform_generator(p, fam, 40)
     dense = DenseLindblad(jump_operator_matrices(p, 41, averages=fam))
-    from maserline import embed_sideband, extract_sideband, offsector_mass
 
     v = rng.standard_normal(40)
     dP = dense.apply(embed_sideband(v, 41))

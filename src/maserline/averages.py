@@ -145,6 +145,13 @@ class TrigAverages:
     The builders of the statistics, the generator, the pump weights and
     the jump operators use only the methods below, so a third family (the
     truncated Laguerre sums of :mod:`maserline.uniform`) overrides them.
+
+    A node list may carry a leading row axis (:meth:`stack`): ``gtaus`` of
+    shape (rows, K) with one shared ``weights`` (K,), one record per row
+    that differs from the others in g only.  Every average then has that
+    leading axis, ``(rows,) + x.shape``, and each row holds the bits of its
+    record's own family; without a row axis the shape is ``x.shape``.  The
+    closed form and the Laguerre sums have no row axis.
     """
 
     def __init__(self, *, gtaus=None, weights=None, g_bar: float | None = None):
@@ -153,6 +160,14 @@ class TrigAverages:
         self._gtaus = None if gtaus is None else np.asarray(gtaus, dtype=float)
         self._weights = None if gtaus is None else np.asarray(weights, dtype=float)
         self._g_bar = None if g_bar is None else float(g_bar)
+        # the contraction over the node axis k, behind the row axis r where
+        # there is one, and with a single node the index of its entry
+        self._subscripts, self._one_node = "k,k...->...", None
+        if gtaus is not None:
+            row_axes = self._gtaus.ndim - 1
+            self._subscripts = "k,rk...->r..." if row_axes else "k,k...->..."
+            if self._weights.size == 1:
+                self._one_node = (slice(None),) * row_axes + (0,)
 
     @classmethod
     def for_params(cls, params: MaserParams, n_nodes: int | None = None) -> "TrigAverages":
@@ -176,6 +191,17 @@ class TrigAverages:
         nodes = quadrature_nodes(dist, 1 if n_nodes is None else n_nodes)
         return cls(gtaus=params.g * nodes.taus, weights=nodes.weights)
 
+    @classmethod
+    def stack(cls, families) -> "TrigAverages":
+        """One family with a leading row axis: row i is the node list of
+        ``families[i]``.  The node lists must share their weights (records
+        that differ in g only), else ``ValueError``; the closed form has no
+        node list and raises ``ValueError`` too."""
+        gtaus, weights = zip(*[family.point_data for family in families])
+        if not all(np.array_equal(w, weights[0]) for w in weights[1:]):
+            raise ValueError("stacked node lists must share their weights")
+        return cls(gtaus=np.array(gtaus), weights=weights[0])
+
     @property
     def point_data(self) -> tuple[np.ndarray, np.ndarray]:
         """Rabi angles g*tau_k and weights of the node list."""
@@ -186,13 +212,24 @@ class TrigAverages:
     # -- elementary products ------------------------------------------------
 
     def _outer(self, x):
+        """g tau_k x at every node (and row): a new array, in whose buffer
+        the methods below form their products.  IEEE products and sums
+        commute, so the bits are those of the plain expressions, and fewer
+        arrays of this size are alive at once, which bounds the memory of
+        a block of rows."""
         return np.multiply.outer(self._gtaus, np.asarray(x, dtype=float))
 
     def _contract(self, values):
-        """sum_k weights[k] values[k, ...]; einsum without ``optimize`` calls
-        no BLAS, whose threads can cost milliseconds per call on a fresh
-        process, and with one node of weight 1 the result is the node's values."""
-        return np.einsum("k,k...->...", self._weights, values)
+        """sum_k weights[k] values[(r,) k, ...]; einsum without ``optimize``
+        calls no BLAS, whose threads can cost milliseconds per call on a
+        fresh process.  With one node einsum's sum is 0 + weight * values,
+        which is formed directly at half the cost per call, with the same
+        bits (signed zeros included)."""
+        if self._one_node is None:
+            return np.einsum(self._subscripts, self._weights, values)
+        out = np.multiply(self._weights[0], values[self._one_node])
+        out += 0.0
+        return out
 
     def cos_cos(self, x, y):
         if self._gtaus is None:
@@ -201,7 +238,8 @@ class TrigAverages:
             dm = a - b
             dp = a + b
             return 0.5 * (1.0 / (1.0 + dm * dm) + 1.0 / (1.0 + dp * dp))
-        return self._contract(np.cos(self._outer(x)) * np.cos(self._outer(y)))
+        a, b = self._outer(x), self._outer(y)
+        return self._contract(np.multiply(np.cos(a, out=a), np.cos(b, out=b), out=a))
 
     def sin_sin(self, x, y):
         if self._gtaus is None:
@@ -211,7 +249,8 @@ class TrigAverages:
             dp = a + b
             # product form: no cancellation for a ~ b
             return 2.0 * a * b / ((1.0 + dm * dm) * (1.0 + dp * dp))
-        return self._contract(np.sin(self._outer(x)) * np.sin(self._outer(y)))
+        a, b = self._outer(x), self._outer(y)
+        return self._contract(np.multiply(np.sin(a, out=a), np.sin(b, out=b), out=a))
 
     def anticommutator_norm(self, s):
         """<cos^2(g tau s) + sin^2(g tau s)>, the weight of the pump
@@ -241,7 +280,7 @@ class TrigAverages:
         if snap_trapping:
             sinc[np.abs(sinc) < TRAPPING_SINC_TOL] = 0.0
         # (g tau)^2 sinc^2, multiplied in that order, in the buffer of y
-        np.multiply((self._gtaus**2)[:, None], sinc, out=y)
+        np.multiply((self._gtaus**2)[..., None], sinc, out=y)
         y *= sinc
         return self._contract(y)
 
@@ -282,16 +321,25 @@ class TrigAverages:
         # per-node evaluation through the product identities
         #   cos A - cos B = -2 sin((A+B)/2) sin((A-B)/2)
         #   s1 sin A - s sin B = 2 s1 cos((A+B)/2) sin((A-B)/2) + sin(B)/sigma
-        # with A - B = g tau / sigma.
-        mid = 0.5 * np.multiply.outer(self._gtaus, sigma)
-        half_diff = 0.5 * np.multiply.outer(self._gtaus, 1.0 / sigma)
-        sin_half = np.sin(half_diff)
-        cos_diff = -2.0 * np.sin(mid) * sin_half
-        sin_diff = 2.0 * s1[None, :] * np.cos(mid) * sin_half + np.sin(np.multiply.outer(self._gtaus, s)) / sigma[None, :]
-        return (
-            self._contract(cos_diff * cos_diff),
-            self._contract(sin_diff * sin_diff),
-        )
+        # with A - B = g tau / sigma; at most four arrays of the outer
+        # product's size are alive.
+        mid = self._outer(sigma)
+        mid *= 0.5
+        sin_half = self._outer(1.0 / sigma)
+        sin_half *= 0.5
+        np.sin(sin_half, out=sin_half)
+        cos_diff = np.sin(mid)
+        cos_diff *= -2.0
+        cos_diff *= sin_half
+        cos_diff *= cos_diff
+        sin_diff = np.cos(mid, out=mid)
+        sin_diff *= 2.0 * s1
+        sin_diff *= sin_half
+        sin_b = np.sin(self._outer(s), out=sin_half)
+        sin_b /= sigma
+        sin_diff += sin_b
+        sin_diff *= sin_diff
+        return self._contract(cos_diff), self._contract(sin_diff)
 
     def one_minus_cos_diff(self, inv_sigma):
         """<1 - cos(g tau / sigma)> with 1/sigma = x - y supplied stably.
@@ -304,9 +352,10 @@ class TrigAverages:
         if self._gtaus is None:
             d = self._g_bar * inv_sigma
             return d * d / (1.0 + d * d)
-        half = 0.5 * self._outer(inv_sigma)
-        s = np.sin(half)
-        return self._contract(2.0 * s * s)
+        half = self._outer(inv_sigma)
+        half *= 0.5
+        s = np.sin(half, out=half)
+        return self._contract(np.multiply(2.0 * s, s, out=s))
 
     def jump_diagonals(self, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Pump jump operators at phi = sqrt(n+1) as arrays ``(weights (M,),

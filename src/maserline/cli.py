@@ -25,6 +25,7 @@ starts more than one worker.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -36,6 +37,7 @@ from . import __version__
 from .averages import TrigAverages
 from .errors import ConfigError, MaserlineError, VacuumStateError
 from .linewidth import (
+    _block_rows,
     linewidth_components,
     linewidth_exp_closed,
     linewidth_exp_scully,
@@ -233,50 +235,87 @@ SCAN_THETA_COLUMNS = [
 ]
 
 
-def _scan_theta_row(task) -> dict:
-    cfg, theta_over_pi = task
-    theta = theta_over_pi * math.pi
+def _scan_theta_rows(cfg: dict, thetas_over_pi) -> list[dict]:
+    """The rows of ``thetas_over_pi``, in that order.
+
+    The truncation search runs per row.  Consecutive rows with an
+    excitation that share one basis size N (after the ``on_support`` cut)
+    then form a block, of at most ``_block_rows(N + 1)`` rows, evaluated
+    as soon as it is complete: so only one block's statistics are held at
+    a time.  A vacuum row is set aside and keeps its empty cells.
+    """
     rate = float(cfg["rate"])
     kappa = float(cfg["kappa"])
-    if rate > 0:
-        g_tau = theta / math.sqrt(rate / kappa)
-    elif cfg["g_tau"] is None:
-        g_tau = 1.0
+    rows = []
+    block = []  # (row, params, stats) of the block being gathered
+    for theta_over_pi in thetas_over_pi:
+        theta = theta_over_pi * math.pi
+        if rate > 0:
+            g_tau = theta / math.sqrt(rate / kappa)
+        elif cfg["g_tau"] is None:
+            g_tau = 1.0
+        else:
+            g_tau = float(cfg["g_tau"])
+        params = _params_from_config(cfg, g_tau=g_tau)
+        # every quantity of the row is exact on the levels up to the last p_n != 0
+        stats = steady_state(params, cfg["trunc"]).on_support()
+        row = {"theta": theta, "g_tau": g_tau, "n_mean": stats.mean, "status": "ok"}
+        rows.append(row)
+        try:
+            require_excitation(stats)
+        except VacuumStateError:
+            row["status"] = "vacuum"
+            continue
+        if block and (stats.N != block[0][2].N or len(block) == _block_rows(stats.N + 1)):
+            _scan_theta_block(block)
+            block = []
+        block.append((row, params, stats))
+    if block:
+        _scan_theta_block(block)
+    return rows
+
+
+def _scan_theta_block(block: list[tuple]) -> None:
+    """Fill the linewidth cells of a block's (row, params, stats) triples:
+    one call of each weight, generator and slope builder on a family with
+    one row per record, each row reduced on its own slice.  The records
+    differ in g only, so the first one's params carry the rates of all."""
+    _, params, stats = block[0]
+    N = stats.N
+    if len(block) == 1:
+        # one record: no row axis, which would only add broadcasting, and no lists
+        averages, v0 = TrigAverages.for_params(params), initial_sideband(stats)
     else:
-        g_tau = float(cfg["g_tau"])
-    params = _params_from_config(cfg, g_tau=g_tau)
-    row = {"theta": theta, "g_tau": g_tau, "status": "ok"}
-    # every quantity of the row is exact on the levels up to the last p_n != 0
-    stats = steady_state(params, cfg["trunc"]).on_support()
-    averages = TrigAverages.for_params(params)
-    row["n_mean"] = stats.mean
-    try:
-        breakdown = linewidth_components(params, stats, averages)
-    except VacuumStateError:
-        row["status"] = "vacuum"
-        return row
-    row.update(
-        D_main=breakdown.total,
-        D_thermal=breakdown.thermal,
-        D_cos=breakdown.cosine,
-        D_sin=breakdown.sine,
-        D_scully=linewidth_scully(params, stats),
-        D_mcgowan=linewidth_mcgowan(params, stats, averages),
+        stats = [row_stats for _, _, row_stats in block]
+        averages = TrigAverages.stack([TrigAverages.for_params(row_params) for _, row_params, _ in block])
+        v0 = np.array([initial_sideband(s) for s in stats])
+    columns = (
+        linewidth_components(params, stats, averages),
+        linewidth_mcgowan(params, stats, averages),
+        linewidth_from_slope(build_sideband_generator(params, N, averages), v0),
     )
-    gen = build_sideband_generator(params, stats.N, averages)
-    row["D_slope"] = linewidth_from_slope(gen, initial_sideband(stats))
-    ratio, reference = schawlow_townes_ratio(params, stats, breakdown.total)
-    row["st_ratio"] = ratio
-    row["st_ref"] = reference
-    return row
+    if len(block) == 1:
+        columns = [[value] for value in columns]
+    for (row, row_params, row_stats), breakdown, d_mcgowan, d_slope in zip(block, *columns):
+        ratio, reference = schawlow_townes_ratio(row_params, row_stats, breakdown.total)
+        row.update(
+            D_main=breakdown.total,
+            D_thermal=breakdown.thermal,
+            D_cos=breakdown.cosine,
+            D_sin=breakdown.sine,
+            D_scully=linewidth_scully(row_params, row_stats),
+            D_mcgowan=d_mcgowan,
+            D_slope=d_slope,
+            st_ratio=ratio,
+            st_ref=reference,
+        )
 
 
 def cmd_scan_theta(cfg: dict) -> None:
     if float(cfg["rate"]) > 0 and cfg["g_tau"] is not None:
         raise ConfigError("scan-theta sets g*tau from theta at rate > 0 and reads g_tau at rate 0 only")
     thetas = _scan_range(cfg, 0.1, 4.0)  # in units of pi
-    tasks = [(cfg, t) for t in thetas]
-    rows = _map_ordered(_scan_theta_row, tasks, int(cfg["jobs"]))
+    rows = _map_ordered(functools.partial(_scan_theta_rows, cfg), thetas, int(cfg["jobs"]))
     table = {name: [row.get(name) for row in rows] for name in SCAN_THETA_COLUMNS}
     _emit(cfg, {"scan": "theta_over_pi"}, table)
 
@@ -366,8 +405,11 @@ def _parse_orders(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def _uniform_row(task) -> dict:
-    cfg, theta_bar, families = task
+def _uniform_rows(cfg: dict, families, theta_bars) -> list[dict]:
+    return [_uniform_row(cfg, families, theta_bar) for theta_bar in theta_bars]
+
+
+def _uniform_row(cfg: dict, families, theta_bar) -> dict:
     g_bar = float(cfg["g_tau"])
     rate = (theta_bar / g_bar) ** 2 * float(cfg["kappa"])
     base = dict(cfg, rate=rate)
@@ -406,26 +448,29 @@ def cmd_uniform_convergence(cfg: dict) -> None:
     columns = ["theta_bar", "n_mean", "D_exact", "D_exp_scully"]
     columns += [f"D_order_{o[0]}" for o in orders] + ["status"]
     # a family depends on g_bar = g tau_bar, not on the row's rate: the rows
-    # share one per order pair, and with it its coefficient tables
+    # share one per order pair, and with it its coefficient tables and sums
     base = _params_from_config(dict(cfg, rate=0.0))
     families = [(o[0], build_uniform_lindblad(base, o)) for o in orders]
-    tasks = [(cfg, tb, families) for tb in theta_bars]
-    rows = _map_ordered(_uniform_row, tasks, int(cfg["jobs"]))
+    rows = _map_ordered(functools.partial(_uniform_rows, cfg, families), theta_bars, int(cfg["jobs"]))
     table = {name: [row.get(name) for row in rows] for name in columns}
     meta = {"threshold_theta_bar": THRESHOLD_THETA_BAR, "scan": "theta_bar via rate"}
     _emit(cfg, meta, table)
 
 
-def _map_ordered(fn, tasks, jobs: int) -> list:
-    """Rows computed (possibly in parallel) and returned in scan order."""
+def _map_ordered(fn, points, jobs: int) -> list:
+    """The rows of the scan points in scan order, ``fn(chunk)`` giving the
+    rows of a contiguous chunk of them.  Each worker gets one chunk, so
+    one round trip; with one worker the whole scan is one chunk."""
     # the executor forks all max_workers processes on the first submit
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(points), os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(t) for t in tasks]
+        return fn(points)
     from concurrent.futures import ProcessPoolExecutor  # imported on use: off the package's import path
 
+    bounds = [len(points) * k // workers for k in range(workers + 1)]
+    chunks = [points[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        return [row for rows in pool.map(fn, chunks) for row in rows]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -67,6 +67,9 @@ def pump_weights(
     The weights are in units of kappa, normalized so that
 
         D <n> / kappa = n_th + sum_n p_n (cos_w[n] + sin_w[n]).
+
+    A family with a row axis gives arrays (rows, n_max + 1), row i at the
+    rates of ``params`` and the Rabi angles of the family's row i.
     """
     if averages is None:
         averages = TrigAverages.for_params(params)
@@ -82,9 +85,10 @@ def mcgowan_weights(
 ) -> np.ndarray:
     """Fock-resolved weight of the multi-eigenvalue approximation.
 
-    Normalized like :func:`pump_weights`: D <n> / kappa = sum_n p_n w[n].
-    Unlike the exact route the damping terms sit inside the weight here;
-    they are evaluated with the rationalized square-root differences
+    Normalized like :func:`pump_weights`, and with its row axis:
+    D <n> / kappa = sum_n p_n w[n].  Unlike the exact route the damping
+    terms sit inside the weight here; they are evaluated with the
+    rationalized square-root differences
 
         n - 1/2 - sqrt(n(n-1)) = 1/4 / (n - 1/2 + sqrt(n(n-1))),
         n + 1/2 - sqrt(n(n+1)) = 1/4 / (n + 1/2 + sqrt(n(n+1))).
@@ -100,6 +104,27 @@ def mcgowan_weights(
     return 2.0 * n * (pump + (1.0 + params.n_th) * down + params.n_th * up)
 
 
+def _by_row(reduce, stats, *weights):
+    """``reduce(stats, mean, *weights)`` for one statistics, else the list of
+    ``reduce(stats[i], mean_i, *(w[i] for w in weights))`` over a block's
+    rows.  Each row is reduced on its own slice, so it keeps the bits of a
+    one-row call."""
+    if isinstance(stats, PhotonStatistics):
+        return reduce(stats, require_excitation(stats), *weights)
+    means = [require_excitation(row_stats) for row_stats in stats]
+    return [reduce(*row) for row in zip(stats, means, *weights, strict=True)]
+
+
+def _basis_size(stats) -> int:
+    """N of one statistics, or the N that a block's statistics share."""
+    if isinstance(stats, PhotonStatistics):
+        return stats.N
+    N = stats[0].N
+    if any(row_stats.N != N for row_stats in stats):
+        raise ValueError(f"a block's statistics must share one basis size, got {[s.N for s in stats]}")
+    return N
+
+
 def linewidth_components(
     params: MaserParams,
     stats: PhotonStatistics,
@@ -110,20 +135,28 @@ def linewidth_components(
     ``stats`` must be the steady state for ``params`` (caller's
     responsibility; the exactness of this route rests on detailed
     balance).  Raises :class:`VacuumStateError` on a vacuum state.
+
+    ``stats`` may also be a block: a sequence of statistics on one basis
+    size, with one row of ``averages`` per statistics
+    (:meth:`TrigAverages.stack`).  The weights are built once for the
+    block, and the result is the list of the rows' breakdowns.
     """
-    mean = require_excitation(stats)
-    cos_w, sin_w = pump_weights(params, stats.N, averages)
-    scale = params.kappa / mean
-    thermal = params.n_th * scale
-    cosine = float(stats.p @ cos_w) * scale
-    sine = float(stats.p @ sin_w) * scale
-    return LinewidthBreakdown(
-        total=thermal + cosine + sine,
-        thermal=thermal,
-        cosine=cosine,
-        sine=sine,
-        n_mean=mean,
-    )
+    cos_w, sin_w = pump_weights(params, _basis_size(stats), averages)
+
+    def breakdown(row_stats, mean, cos_row, sin_row):
+        scale = params.kappa / mean
+        thermal = params.n_th * scale
+        cosine = float(row_stats.p @ cos_row) * scale
+        sine = float(row_stats.p @ sin_row) * scale
+        return LinewidthBreakdown(
+            total=thermal + cosine + sine,
+            thermal=thermal,
+            cosine=cosine,
+            sine=sine,
+            n_mean=mean,
+        )
+
+    return _by_row(breakdown, stats, cos_w, sin_w)
 
 
 def linewidth_mcgowan(
@@ -131,10 +164,15 @@ def linewidth_mcgowan(
     stats: PhotonStatistics,
     averages: TrigAverages | None = None,
 ) -> float:
-    """Multi-eigenvalue approximation, tau-averaged, traced against stats."""
-    mean = require_excitation(stats)
-    w = mcgowan_weights(params, stats.N, averages)
-    return float(stats.p @ w) * params.kappa / mean
+    """Multi-eigenvalue approximation, tau-averaged, traced against stats;
+    a block gives the list of its rows' values (see
+    :func:`linewidth_components`)."""
+    w = mcgowan_weights(params, _basis_size(stats), averages)
+
+    def traced(row_stats, mean, w_row):
+        return float(row_stats.p @ w_row) * params.kappa / mean
+
+    return _by_row(traced, stats, w)
 
 
 def linewidth_scully(params: MaserParams, stats: PhotonStatistics) -> float:
@@ -286,9 +324,14 @@ def _shifted(values: np.ndarray, k: int) -> np.ndarray:
 _BLOCK_ENTRIES = 1 << 16
 
 
+def _block_rows(dim: int) -> int:
+    """Rows of ``dim`` entries in one block: about _BLOCK_ENTRIES / dim."""
+    return max(1, _BLOCK_ENTRIES // dim)
+
+
 def _blocks(items, dim: int):
-    """Consecutive slices of ``items`` holding about _BLOCK_ENTRIES / dim each."""
-    step = max(1, _BLOCK_ENTRIES // dim)
+    """Consecutive slices of ``items`` holding ``_block_rows(dim)`` each."""
+    step = _block_rows(dim)
     return (items[start : start + step] for start in range(0, len(items), step))
 
 

@@ -38,6 +38,12 @@ The anticommutator convention: the ``- r`` of the diagonal is
 family's ``anticommutator_norm``.  That norm is exactly 1 for node lists
 and the closed form, and below 1 for the truncated Laguerre sums of the
 uniform approximation, whose jump-operator set is truncated.
+
+The row axis: records that differ in g only (the rows of a ``scan-theta``
+block) share every rate, so their generators are built at once from one
+family with a row axis (:meth:`TrigAverages.stack`), as one stacked
+:class:`SidebandGenerator`; :func:`linewidth_from_slope` then reduces each
+row on its own slice, with the bits of the one-row call.
 """
 
 from __future__ import annotations
@@ -68,6 +74,13 @@ class SidebandGenerator:
     ``sub[n]`` couples v_{n-1} into dv_n (sub[0] is zero), ``diag[n]``
     couples v_n, and ``sup[n]`` couples v_{n+1} (sup[N-1] is zero).
     Component n is the Fock coherence v_{n_lo + n}.
+
+    Leading axes stack generators of one size N, one per row of a family
+    with a row axis (:func:`build_sideband_generator`).  The three arrays
+    index components along their last axis and broadcast against each
+    other (``sup`` holds rates only and is shared by the rows), and
+    ``apply`` acts on every stacked generator.  ``window`` and the eigen
+    route take a single generator.
     """
 
     sub: np.ndarray
@@ -80,14 +93,14 @@ class SidebandGenerator:
         for name in ("sub", "diag", "sup"):
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
-            if arr.shape != (self.N,):
-                raise ValueError(f"{name} must have shape ({self.N},)")
+            if arr.shape[-1:] != (self.N,):
+                raise ValueError(f"{name} must have shape (..., {self.N})")
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)
         out = self.diag * v
-        out[1:] += self.sub[1:] * v[:-1]
-        out[:-1] += self.sup[:-1] * v[1:]
+        out[..., 1:] += self.sub[..., 1:] * v[..., :-1]
+        out[..., :-1] += self.sup[..., :-1] * v[..., 1:]
         return out
 
     def window(self, lo: int, hi: int) -> "SidebandGenerator":
@@ -139,7 +152,11 @@ def build_sideband_generator(
     N: int,
     averages: TrigAverages | None = None,
 ) -> SidebandGenerator:
-    """Generator of the coherence sector on v_0..v_{N-1} (N+1 Fock levels)."""
+    """Generator of the coherence sector on v_0..v_{N-1} (N+1 Fock levels).
+
+    A family with a row axis gives a stacked generator, ``sub`` and
+    ``diag`` of shape (rows, N): row i at the rates of ``params`` and the
+    Rabi angles of the family's row i, its last-row correction included."""
     if N < 2:
         raise ValueError(f"the sideband sector needs at least 2 components, got {N}")
     if averages is None:
@@ -161,7 +178,7 @@ def build_sideband_generator(
     # truncated-operator convention: the anticommutator halves living on
     # level N+1 are absent from the literal matrices
     top = np.sqrt(N + 1.0)
-    diag[-1] += kappa * n_th * (N + 1.0) / 2.0 + 0.5 * r * float(averages.sin_sin(top, top))
+    diag[..., -1] += kappa * n_th * (N + 1.0) / 2.0 + 0.5 * r * averages.sin_sin(top, top)
     return SidebandGenerator(sub, diag, sup, N)
 
 
@@ -171,12 +188,17 @@ def initial_sideband(stats: PhotonStatistics) -> np.ndarray:
 
 
 def linewidth_from_slope(gen: SidebandGenerator, v0: np.ndarray) -> float:
-    """D = -2 (w . G v0) / (w . v0): one generator application, no stepping."""
+    """D = -2 (w . G v0) / (w . v0): one generator application, no stepping.
+
+    A stacked generator and v0 of shape (rows, N) give the list of the
+    rows' D, each reduced on its own row with the bits of a one-row call."""
     w = coherence_weights(gen.N, gen.n_lo)
-    g0 = float(w @ v0)
-    if g0 == 0.0:
+    v0 = np.asarray(v0)
+    g0 = [float(w @ row) for row in v0.reshape(-1, gen.N)]
+    if 0.0 in g0:
         raise VacuumStateError("g(0) = 0: no coherence to decay")
-    return -2.0 * float(w @ gen.apply(v0)) / g0
+    slopes = [-2.0 * float(w @ row) / norm for row, norm in zip(gen.apply(v0).reshape(-1, gen.N), g0)]
+    return slopes[0] if v0.ndim == 1 else slopes
 
 
 def correlate(decomp: SpectralDecomposition, t_grid) -> np.ndarray:

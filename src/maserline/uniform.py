@@ -43,8 +43,21 @@ from .regression import SidebandGenerator, build_sideband_generator, initial_sid
 from .steady import PhotonStatistics, steady_state
 
 
-# coefficient tables a LaguerreAverages keeps before it starts afresh
-_MEMO_SIZE = 8
+# entries a LaguerreAverages keeps before it starts afresh: a row of
+# uniform-convergence reads the tables of 5 distinct arguments and 6 sums
+_MEMO_SIZE = 16
+
+
+def _key(x) -> tuple:
+    """The memo key of an argument: its float64 shape and bytes."""
+    x = np.asarray(x, dtype=float)
+    return x.shape, x.tobytes()
+
+
+def _read_only(value) -> np.ndarray:
+    value = np.asarray(value)
+    value.flags.writeable = False
+    return value
 
 
 def _laguerre_powers(x: np.ndarray, order: int) -> np.ndarray:
@@ -82,34 +95,50 @@ class LaguerreAverages(TrigAverages):
         super().__init__(g_bar=g_bar)
         self.order_sin = order_sin
         self.order_cos = order_cos
-        # argument (shape, bytes) -> read-only tables: a generator build reads
-        # 4 distinct arguments 7 times
-        self._memo: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        # read-only entries: argument (shape, bytes) -> coefficient tables, and
+        # (method, argument keys) -> the sums of cos_cos, sin_sin and
+        # anticommutator_norm, which depend on the arguments alone
+        self._memo: dict[tuple, tuple[np.ndarray, np.ndarray] | np.ndarray] = {}
+
+    def _memoized(self, key, compute):
+        """The memo's entry at ``key``, computed on first use."""
+        value = self._memo.get(key)
+        if value is None:
+            value = compute()
+            if len(self._memo) >= _MEMO_SIZE:
+                self._memo.clear()
+            self._memo[key] = value
+        return value
 
     def _tables(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Cosine and sine coefficient tables [k, ...] at gb x, from one
         recurrence per distinct argument; the tables are read-only."""
         x = np.asarray(x, dtype=float)
-        key = (x.shape, x.tobytes())
-        tables = self._memo.get(key)
-        if tables is None:
-            z = _laguerre_powers(self._g_bar * x, max(self.order_sin, self.order_cos))
-            z.flags.writeable = False
-            tables = z.real[: self.order_cos + 1], z.imag[: self.order_sin + 1]
-            if len(self._memo) >= _MEMO_SIZE:
-                self._memo.clear()
-            self._memo[key] = tables
-        return tables
+
+        def tables():
+            z = _read_only(_laguerre_powers(self._g_bar * x, max(self.order_sin, self.order_cos)))
+            return z.real[: self.order_cos + 1], z.imag[: self.order_sin + 1]
+
+        return self._memoized(_key(x), tables)
 
     def cos_cos(self, x, y):
-        return np.sum(self._tables(x)[0] * self._tables(y)[0], axis=0)
+        return self._memoized(
+            ("cos_cos", _key(x), _key(y)),
+            lambda: _read_only(np.sum(self._tables(x)[0] * self._tables(y)[0], axis=0)),
+        )
 
     def sin_sin(self, x, y):
-        return np.sum(self._tables(x)[1] * self._tables(y)[1], axis=0)
+        return self._memoized(
+            ("sin_sin", _key(x), _key(y)),
+            lambda: _read_only(np.sum(self._tables(x)[1] * self._tables(y)[1], axis=0)),
+        )
 
     def anticommutator_norm(self, s):
-        cos, sin = self._tables(s)
-        return np.sum(cos * cos, axis=0) + np.sum(sin * sin, axis=0)
+        def norm():
+            cos, sin = self._tables(s)
+            return _read_only(np.sum(cos * cos, axis=0) + np.sum(sin * sin, axis=0))
+
+        return self._memoized(("anticommutator_norm", _key(s)), norm)
 
     def pump_gain(self, s, snap_trapping: bool = False):
         # rational in s with no zero at s > 0: no trapping states to snap

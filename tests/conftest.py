@@ -3,7 +3,7 @@ import math
 import pytest
 
 import maserline.steady
-from maserline import ExponentialTau, FixedTau, MaserParams
+from maserline import ExponentialTau, FixedTau, MaserParams, TrigAverages
 
 
 @pytest.fixture
@@ -23,6 +23,24 @@ def maser_params():
         return MaserParams(kappa=kappa, n_th=n_th, r=r, g=g_tau * kappa, tau_dist=FixedTau(1.0 / kappa))
 
     return make
+
+
+# the pump parameters of a block's rows, in units of pi: below threshold,
+# at a trapping angle and on the plateau
+ROW_THETAS = (0.3, 1.0, 2.5, 3.7)
+
+
+@pytest.fixture(params=[(r, n_th) for r in (50.0, 1000.0, 5000.0) for n_th in (0.0, 0.01)],
+                ids=lambda case: f"r{case[0]:g}-nth{case[1]:g}")
+def row_block(request, maser_params):
+    """Fixed-tau records that differ in g only, one per theta of
+    ROW_THETAS, at r/kappa 50, 1000, 5000 and n_th 0, 0.01; the basis size
+    4 max(50, r/kappa) the truncation search starts from; and the family
+    with one row per record."""
+    r, n_th = request.param
+    rows = [maser_params(theta, r=r, n_th=n_th) for theta in ROW_THETAS]
+    N = 4 * int(max(50.0, r))
+    return rows, N, TrigAverages.stack([TrigAverages.for_params(p) for p in rows])
 
 
 @pytest.fixture

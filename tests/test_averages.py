@@ -298,3 +298,24 @@ def test_node_contractions_are_the_weighted_node_sums():
         reference = np.array([math.fsum(column) for column in terms.T])
         scale = np.sum(np.abs(terms), axis=0)
         assert np.all(np.abs(values - reference) <= 1e-15 * scale), name
+
+
+@pytest.mark.parametrize("gtaus, weights", [([2.0], [1.0]), ([0.6], [0.7]), ([[2.0], [0.6], [1.3]], [1.0])],
+                         ids=["one-node", "weight-0.7", "row-axis"])
+def test_one_node_averages_have_the_bits_of_the_einsum_sum(gtaus, weights):
+    """With one node the contraction skips einsum and forms einsum's sum,
+    0 + weight * value, itself: the same bits, where the node's product is
+    -0.0 too (sin(0) sin(4) at x = 0, g tau = 2), and per row of a row axis."""
+    family = TrigAverages(gtaus=gtaus, weights=weights)
+    g = np.asarray(gtaus)
+    subscripts = "k,rk...->r..." if g.ndim == 2 else "k,k...->..."
+    x = np.sqrt(np.arange(0.0, 50.0))
+    y = np.concatenate(([2.0], x[1:] + 0.5))
+    for args in ((x, y), (7.0, 7.0)):
+        a, b = np.multiply.outer(g, args[0]), np.multiply.outer(g, args[1])
+        for name, values in (("sin_sin", np.sin(a) * np.sin(b)), ("cos_cos", np.cos(a) * np.cos(b))):
+            expected = np.einsum(subscripts, weights, values)
+            found = getattr(family, name)(*args)
+            assert np.array_equal(found, expected), name
+            assert np.array_equal(np.signbit(found), np.signbit(expected)), name
+    assert not np.signbit(TrigAverages(gtaus=[2.0], weights=[1.0]).sin_sin(x, y)[0])

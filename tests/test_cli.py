@@ -23,6 +23,8 @@ from maserline import (
     initial_sideband,
     linewidth_components,
     linewidth_from_slope,
+    linewidth_mcgowan,
+    linewidth_scully,
     spectral_decomposition,
     spectrum_and_fwhm,
     steady_state,
@@ -94,6 +96,62 @@ def test_scan_theta_vacuum_sentinel(tmp_path):
     _, _, rows = read_csv(out)
     assert rows[0]["status"] == "vacuum"
     assert rows[0]["D_main"] == ""  # empty cell, never NaN
+
+
+@pytest.mark.parametrize("argv, statuses", [
+    # theta = pi at r/kappa = 1 traps the field in the vacuum
+    (["--rate", "1", "--nth", "0", "--min", "0.9", "--max", "1.1", "--steps", "3"], ["ok", "vacuum", "ok"]),
+    (["--rate", "50", "--nth", "0.01", "--min", "0.2", "--max", "3.9", "--steps", "9"], ["ok"] * 9),
+    (["--rate", "1000", "--nth", "0", "--min", "0.2", "--max", "3.9", "--steps", "5"], ["ok"] * 5),
+])
+def test_scan_theta_rows_are_the_one_row_library_results(tmp_path, argv, statuses):
+    """Each row, evaluated in a block of rows of one basis size, prints the
+    one-row library results of its own record to the last digit; a vacuum
+    row keeps its empty cells."""
+    code, out = run(tmp_path, ["scan-theta", *argv])
+    assert code == 0
+    _, _, rows = read_csv(out)
+    assert [row["status"] for row in rows] == statuses
+    rate = float(argv[1])
+    for row in rows:
+        g_tau = float(row["g_tau"])
+        params = MaserParams(1.0, float(argv[3]), rate, g_tau, FixedTau(1.0))
+        stats = steady_state(params).on_support()
+        assert row["n_mean"] == f"{stats.mean:.17g}"
+        if row["status"] == "vacuum":
+            assert all(row[col] == "" for col in ("D_main", "D_cos", "D_mcgowan", "D_slope", "st_ratio"))
+            continue
+        breakdown = linewidth_components(params, stats)
+        expected = {
+            "D_main": breakdown.total, "D_thermal": breakdown.thermal, "D_cos": breakdown.cosine,
+            "D_sin": breakdown.sine, "D_scully": linewidth_scully(params, stats),
+            "D_mcgowan": linewidth_mcgowan(params, stats),
+            "D_slope": linewidth_from_slope(build_sideband_generator(params, stats.N), initial_sideband(stats)),
+        }
+        for col, value in expected.items():
+            assert row[col] == f"{value:.17g}", col
+
+
+def test_scan_theta_blocks_of_two_rows_give_the_same_bytes(tmp_path, monkeypatch):
+    """Blocks bounded to two rows of N = 200 (2 * 201 entries) print the
+    bytes of the unbounded scan, whose 7 rows form one block."""
+    argv = ["scan-theta", "--rate", "50", "--nth", "0.01", "--min", "0.3", "--max", "3.6", "--steps", "7"]
+    blocks = []
+    build = maserline.cli.build_sideband_generator
+
+    def recorded(params, N, averages=None):
+        gen = build(params, N, averages)
+        blocks.append(gen.diag.shape[0] if gen.diag.ndim == 2 else 1)
+        return gen
+
+    monkeypatch.setattr(maserline.cli, "build_sideband_generator", recorded)
+    _, whole = run(tmp_path, argv, "whole.csv")
+    assert blocks == [7]
+    blocks.clear()
+    monkeypatch.setattr(maserline.linewidth, "_BLOCK_ENTRIES", 2 * 201)
+    _, pairs = run(tmp_path, argv, "pairs.csv")
+    assert blocks == [2, 2, 2, 1]
+    assert pairs.read_bytes() == whole.read_bytes()
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -983,9 +1041,10 @@ def test_parallel_rows_match_serial(tmp_path):
 
 def test_parallel_rows_start_no_more_workers_than_rows(monkeypatch, capsys):
     """The executor forks every worker on its first submit, so --jobs is
-    capped at the row count and at the CPU count; at one worker the rows
-    run serially without an executor."""
-    requested = []
+    capped at the row count and at the CPU count; each worker is handed
+    one chunk of rows, and at one worker the rows run serially without an
+    executor."""
+    requested, mapped = [], []
 
     class SerialExecutor:
         def __init__(self, max_workers):
@@ -998,15 +1057,21 @@ def test_parallel_rows_start_no_more_workers_than_rows(monkeypatch, capsys):
             return False
 
         def map(self, fn, tasks):
+            tasks = list(tasks)
+            mapped.append(len(tasks))
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
     for jobs, cpus, expected in (("64", 8, [3]), ("5000", 2, [2]), ("64", 1, []), ("64", None, [])):
-        requested.clear()
-        monkeypatch.setattr(maserline.cli.os, "cpu_count", lambda cpus=cpus: cpus)
-        assert main(["scan-theta", "--rate", "50", "--steps", "3", "--jobs", jobs]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 2 + 3
-        assert requested == expected, (jobs, cpus)
+        for command in (["scan-theta", "--rate", "50"], ["uniform-convergence", "--dist", "exp"]):
+            requested.clear()
+            mapped.clear()
+            monkeypatch.setattr(maserline.cli.os, "cpu_count", lambda cpus=cpus: cpus)
+            assert main([*command, "--steps", "3", "--jobs", jobs]) == 0
+            assert len(capsys.readouterr().out.splitlines()) == 2 + 3
+            assert requested == expected, (jobs, cpus)
+            # one contiguous chunk of rows per worker: one task each
+            assert mapped == expected, (jobs, cpus)
 
 
 def _fresh_parser(monkeypatch):

@@ -374,6 +374,63 @@ def test_trace_memory_stays_within_twice_the_operator_set():
     assert peak <= 2 * set_bytes
 
 
+# -- row axis: blocks of records that differ in g only --------------------------
+
+
+def test_block_weight_rows_are_the_one_row_weights(row_block):
+    """pump_weights and mcgowan_weights of a family with one row per record
+    are (rows, N + 1) arrays whose row i has the bits of record i's own call."""
+    rows, N, block = row_block
+    cos_w, sin_w = pump_weights(rows[0], N, block)
+    mcgowan = mcgowan_weights(rows[0], N, block)
+    assert cos_w.shape == sin_w.shape == mcgowan.shape == (len(rows), N + 1)
+    for params, cos_row, sin_row, mcgowan_row in zip(rows, cos_w, sin_w, mcgowan):
+        one_cos, one_sin = pump_weights(params, N)
+        assert np.array_equal(cos_row, one_cos)
+        assert np.array_equal(sin_row, one_sin)
+        assert np.array_equal(mcgowan_row, mcgowan_weights(params, N))
+
+
+def test_block_linewidths_are_the_one_row_linewidths(row_block):
+    """A block of statistics on one basis size gives, row by row, the
+    breakdown and the McGowan value of the one-row calls, bit for bit."""
+    rows, N, block = row_block
+    stats = [steady_state(params, N) for params in rows]
+    assert linewidth_components(rows[0], stats, block) == [linewidth_components(p, s) for p, s in zip(rows, stats)]
+    assert linewidth_mcgowan(rows[0], stats, block) == [linewidth_mcgowan(p, s) for p, s in zip(rows, stats)]
+
+
+def test_block_of_node_lists_matches_the_one_row_families(maser_params):
+    """Three-node records that differ in g only stack into a (rows, 3)
+    family; its weights keep each record's bits."""
+    dist = DiscreteTau([0.7, 1.0, 1.3], [0.3, 0.4, 0.3])
+    rows = [dataclasses.replace(maser_params(theta), tau_dist=dist) for theta in (0.4, 1.7, 2.9)]
+    block = TrigAverages.stack([TrigAverages.for_params(p) for p in rows])
+    stats = [steady_state(p, 200) for p in rows]
+    cos_w, sin_w = pump_weights(rows[0], 200, block)
+    for i, params in enumerate(rows):
+        one_cos, one_sin = pump_weights(params, 200)
+        assert np.array_equal(cos_w[i], one_cos) and np.array_equal(sin_w[i], one_sin)
+        assert np.array_equal(mcgowan_weights(rows[0], 200, block)[i], mcgowan_weights(params, 200))
+    assert linewidth_components(rows[0], stats, block) == [linewidth_components(p, s) for p, s in zip(rows, stats)]
+
+
+def test_blocks_are_checked(maser_params, laser_params):
+    rows = [maser_params(theta) for theta in (0.5, 2.5)]
+    block = TrigAverages.stack([TrigAverages.for_params(p) for p in rows])
+    with pytest.raises(ValueError, match="one basis size"):
+        linewidth_components(rows[0], [steady_state(rows[0], 200), steady_state(rows[1], 220)], block)
+    with pytest.raises(ValueError):  # two rows of averages, three statistics
+        linewidth_components(rows[0], [steady_state(rows[0], 200)] * 3, block)
+    with pytest.raises(VacuumStateError):
+        linewidth_mcgowan(rows[0], [steady_state(rows[0], 200), point_statistics(0, 201)], block)
+    with pytest.raises(ValueError, match="no node list"):
+        TrigAverages.stack([TrigAverages.for_params(laser_params(2.0))])
+    discrete = dataclasses.replace(rows[0], tau_dist=DiscreteTau([0.5, 1.5], [0.5, 0.5]))
+    with pytest.raises(ValueError, match="share their weights"):
+        TrigAverages.stack([TrigAverages.for_params(rows[0]), TrigAverages.for_params(discrete)])
+
+
 # -- classic formulas ----------------------------------------------------------
 
 

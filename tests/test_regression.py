@@ -13,6 +13,7 @@ from maserline import (
     SidebandGenerator,
     SpectralDecomposition,
     SpectralError,
+    TrigAverages,
     VacuumStateError,
     build_sideband_generator,
     correlate,
@@ -199,6 +200,39 @@ def test_slope_vacuum_raises():
     gen = build_sideband_generator(p, 4)
     with pytest.raises(VacuumStateError):
         linewidth_from_slope(gen, initial_sideband(stats))
+
+
+def test_block_generator_and_slope_rows_are_the_one_row_results(row_block):
+    """A family with one row per record builds one stacked generator: its
+    bands are (rows, N) (sup, rates only, is shared), row i holds the bits
+    of record i's generator, last-row correction included, and the slope
+    of each row is the one-row slope, bit for bit."""
+    rows, N, block = row_block
+    stats = [steady_state(params, N) for params in rows]
+    gen = build_sideband_generator(rows[0], N, block)
+    assert gen.sub.shape == gen.diag.shape == (len(rows), N)
+    slopes = linewidth_from_slope(gen, np.array([initial_sideband(s) for s in stats]))
+    for i, (params, row_stats) in enumerate(zip(rows, stats)):
+        one = build_sideband_generator(params, N)
+        assert np.array_equal(gen.sub[i], one.sub)
+        assert np.array_equal(gen.diag[i], one.diag)
+        assert np.array_equal(np.broadcast_to(gen.sup, gen.diag.shape)[i], one.sup)
+        assert slopes[i] == linewidth_from_slope(one, initial_sideband(row_stats))
+    assert len(slopes) == len(rows)
+
+
+def test_stacked_generator_applies_per_row(maser_params):
+    rows = [maser_params(theta) for theta in (0.7, 2.5)]
+    block = TrigAverages.stack([TrigAverages.for_params(p) for p in rows])
+    gen = build_sideband_generator(rows[0], 60, block)
+    v = np.random.default_rng(3).standard_normal((2, 60))
+    for i, params in enumerate(rows):
+        one = build_sideband_generator(params, 60)
+        np.testing.assert_array_equal(gen.apply(v)[i], one.apply(v[i]))
+    with pytest.raises(VacuumStateError):
+        linewidth_from_slope(gen, np.vstack([v[0], np.zeros(60)]))
+    with pytest.raises(ValueError, match="shape"):
+        SidebandGenerator(np.zeros((2, 5)), np.zeros((2, 5)), np.zeros(6), 5)
 
 
 # -- time evolution -------------------------------------------------------------

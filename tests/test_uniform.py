@@ -1,5 +1,6 @@
 """Orthonormal-polynomial expansion of the pump and its truncated model."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -310,3 +311,25 @@ def test_a_generator_build_evaluates_each_coefficient_table_once(monkeypatch):
         cos[0, 0] = 1.0
     with pytest.raises(ValueError):
         sin[0, 0] = 1.0
+
+
+def test_family_keeps_its_sums_read_only_for_rows_of_another_rate():
+    """cos_cos, sin_sin and anticommutator_norm depend on their arguments
+    alone, so the family keeps them beside the tables: a second
+    uniform-convergence row at another rate on the same basis finds every
+    table and sum it reads in the memo, and gets the bits of a fresh family."""
+    first = MaserParams(kappa=1.0, n_th=0.0, r=40.0, g=0.3, tau_dist=ExponentialTau(1.0))
+    second = dataclasses.replace(first, r=90.0)
+    family = build_uniform_lindblad(first, (3, 2))
+    uniform_linewidth(first, family, 200)
+    kept = dict(family._memo)
+    assert {key[0] for key in kept if isinstance(key[0], str)} == {"cos_cos", "sin_sin", "anticommutator_norm"}
+    assert len(kept) <= uniform._MEMO_SIZE
+    shared = uniform_linewidth(second, family, 200)
+    assert family._memo.keys() == kept.keys()
+    assert all(family._memo[key] is value for key, value in kept.items())
+    assert shared == uniform_linewidth(second, build_uniform_lindblad(second, (3, 2)), 200)
+    s = np.sqrt(np.arange(1.0, 201.0))
+    assert family.sin_sin(s, s) is family.sin_sin(s, s)
+    with pytest.raises(ValueError):
+        family.anticommutator_norm(s)[0] = 1.0

@@ -46,6 +46,17 @@ TRAPPING_SINC_TOL = 1e-15
 # np.sinc evaluates sin(y)/y at this y where y == 0
 _SINC_EPS = np.finfo(float).eps
 
+
+def _sinc(arg, out=None):
+    """sin(arg)/arg in the steps (and bits) of np.sinc(arg / pi), into ``out``
+    or the buffer of ``arg``: y = pi (arg / pi), _SINC_EPS where y == 0,
+    then sin(y) / y, whose sin(y) is the one temporary of that size."""
+    y = np.divide(arg, np.pi, out=arg if out is None else out)
+    np.multiply(np.pi, y, out=y)
+    np.copyto(y, _SINC_EPS, where=y == 0.0)
+    return np.divide(np.sin(y), y, out=y)
+
+
 # node counts of the Gauss-Laguerre refinement ladder
 _LADDER = (8, 16, 32, 64, 128, 256, 512)
 
@@ -271,18 +282,13 @@ class TrigAverages:
         if self._gtaus is None:
             a = self._g_bar * s
             return 2.0 * self._g_bar**2 / (1.0 + 4.0 * a * a)
-        # sinc(g tau s) in the steps of np.sinc(arg / pi): y = pi (arg / pi), sin(y) / y
-        y = self._outer(s)
-        np.multiply(np.pi, np.divide(y, np.pi, out=y), out=y)
-        np.copyto(y, _SINC_EPS, where=y == 0.0)
-        sinc = np.sin(y)
-        sinc /= y
+        sinc = _sinc(self._outer(s))
         if snap_trapping:
             sinc[np.abs(sinc) < TRAPPING_SINC_TOL] = 0.0
-        # (g tau)^2 sinc^2, multiplied in that order, in the buffer of y
-        np.multiply((self._gtaus**2)[..., None], sinc, out=y)
-        y *= sinc
-        return self._contract(y)
+        # (g tau)^2 sinc^2, multiplied in that order
+        gain = np.multiply((self._gtaus**2)[..., None], sinc)
+        gain *= sinc
+        return self._contract(gain)
 
     def squared_differences(self, n):
         """The squared trig differences of the pump weights at photon
@@ -373,10 +379,7 @@ class TrigAverages:
         rows = np.empty((gtaus.size, 2, phi.size))
         cos, gain = rows[:, 0], rows[:, 1]
         np.multiply.outer(gtaus, phi, out=cos)
-        # sinc(g tau phi) in the steps of np.sinc(arg / pi): y = pi (arg / pi), sin(y) / y
-        np.multiply(np.pi, np.divide(cos, np.pi, out=gain), out=gain)
-        np.copyto(gain, _SINC_EPS, where=gain == 0.0)
+        _sinc(cos, out=gain)
         np.cos(cos, out=cos)
-        np.divide(np.sin(gain), gain, out=gain)
         gain *= gtaus[:, None]
         return np.repeat(weights, 2), rows.reshape(-1, phi.size), np.tile([False, True], gtaus.size)

@@ -7,7 +7,8 @@ photon-number basis and satisfies, link by link,
 
 with n_ex = r/kappa.  The recurrence is evaluated in log space with a
 final renormalization because p_n spans hundreds of orders of magnitude
-below threshold.
+below threshold.  One evaluator takes those logs and their running sum,
+for a given truncation and for each candidate of the truncation search.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ HARD_LIMIT = 20000
 # exp(x) is exactly 0.0 for x below about -745.13: log p this far below the
 # peak is a level whose p_n is zero
 UNDERFLOW_LOG = 746.0
-# links in the truncation search's first chunk of the recurrence
+# fewest links in the first chunk of an evaluation of the recurrence
 FIRST_CHUNK = 256
 
 
@@ -114,29 +115,6 @@ def recurrence_ratios(
     return (params.n_th + gain) / (1.0 + params.n_th)
 
 
-def statistics_from_ratios(ratios: np.ndarray) -> np.ndarray:
-    """Normalized p from link ratios, in log space; zero ratios propagate
-    as hard zeros (trapping-state support)."""
-    ratios = np.asarray(ratios, dtype=float)
-    if np.any(ratios < 0):
-        raise ValueError("recurrence ratios must be non-negative")
-    with np.errstate(divide="ignore"):
-        log_r = np.log(ratios)
-    return _normalized(np.concatenate(([0.0], np.cumsum(log_r))), ratios.size)
-
-
-def _normalized(log_p: np.ndarray, N: int) -> np.ndarray:
-    """p_0..p_N from log p on the levels 0..log_p.size-1 and zeros above.
-
-    The sum runs over all N + 1 levels, so its pairwise blocks, and the
-    bits of p, are those of the whole-length array whose top levels
-    underflow to zero."""
-    p = np.zeros(N + 1)
-    np.exp(log_p - np.max(log_p), out=p[: log_p.size])
-    p /= p.sum()
-    return p
-
-
 def _tail_bound(p: np.ndarray, next_ratio: float) -> float:
     """Geometric bound on the mass truncated away above level N."""
     top = float(p[-1])
@@ -160,10 +138,12 @@ def steady_state(
     fixed Gauss-Laguerre discretization), otherwise the distribution's
     default: exact point mass, node list, or the closed exponential form.
 
-    Without ``N`` this is :func:`auto_truncation`, whose accepted candidate
-    already holds p.  With ``averages`` and no ``N``, the truncation is the
-    one that search picks with the default averages, and the recurrence is
-    evaluated again with ``averages`` on it.
+    With ``N``, the search's evaluator takes links 0..N whole, in one
+    :func:`recurrence_ratios` call.  Without ``N`` this is
+    :func:`auto_truncation`, whose accepted candidate already holds p.
+    With ``averages`` and no ``N``, the truncation is the one that search
+    picks with the default averages, and the recurrence is evaluated again
+    with ``averages`` on it.
     """
     if N is None:
         stats = auto_truncation(params)
@@ -172,8 +152,7 @@ def steady_state(
         N = stats.N
     if N < 1:
         raise ValueError(f"truncation must be at least 1, got {N}")
-    ratios = recurrence_ratios(params, N + 1, averages)
-    p = statistics_from_ratios(ratios[:N])
+    ratios, p = _recurrence(params, N, N + 1, averages)
     return PhotonStatistics(p, N, _tail_bound(p, float(ratios[N])))
 
 
@@ -195,34 +174,68 @@ def _fallen_by(params: MaserParams, lo: int, gap: float, limit: int) -> int:
     return min(n + 1, limit)
 
 
+def _recurrence(params: MaserParams, N: int, settled: int, averages: TrigAverages | None):
+    """Ratios of the links 0..L-1 from level 0 and the normalized p_0..p_N
+    they give, on a truncation N whose links from ``settled`` on contract.
+
+    Each chunk of links continues one running sum of log ratios from
+    log p_0 = 0, with the bits of one cumsum from level 0.  Evaluation
+    stops at the level L <= N + 1 where both hold: (i) L >= ``settled``;
+    (ii) log p_L lies more than :data:`UNDERFLOW_LOG` below its running
+    maximum, or a trapping zero was hit.  The first chunk reaches
+    ``settled`` and at least :data:`FIRST_CHUNK` links; each later one ends
+    where the bound n_ex/(n+1) makes (ii) certain, or after the edge link.
+    From L on log p only falls, so every later p_n is exactly 0.0, as when
+    every link is evaluated.  p is zero-filled there and normalized over
+    all N + 1 levels, so the pairwise blocks of its sum, and its bits, are
+    those of the whole-length array.
+    """
+    ratio_chunks, log_chunks = [], [np.zeros(1)]  # log p_0 = 0
+    hi, peak = 0, 0.0  # links 0..hi-1 are evaluated; running maximum of log p
+    zero_beyond = False  # every level past hi has p_n == 0
+    # a trapping zero has log ratio -inf; a negative ratio (averages with
+    # negative weights) has log nan, which the running sum carries to the end
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while hi <= N and not zero_beyond:
+            lo = hi
+            if lo == 0:
+                hi = min(max(FIRST_CHUNK, settled), N + 1)
+            else:
+                gap = float(log_chunks[-1][-1]) - peak + UNDERFLOW_LOG
+                hi = _fallen_by(params, lo, gap, N + 1)
+            chunk = recurrence_ratios(params, hi, averages, lo)
+            log_chunk = np.log(chunk)
+            # continue the running sum: the bits of one cumsum from level 0
+            log_chunk[0] += log_chunks[-1][-1]
+            log_chunk.cumsum(out=log_chunk)
+            if math.isnan(log_chunk[-1]):
+                raise ValueError("recurrence ratios must be non-negative")
+            ratio_chunks.append(chunk)
+            log_chunks.append(log_chunk)
+            peak = max(peak, float(log_chunk.max()))
+            zero_beyond = hi >= settled and log_chunk[-1] < peak - UNDERFLOW_LOG
+    log_p = np.concatenate(log_chunks)[: N + 1]
+    p = np.zeros(N + 1)
+    np.exp(log_p - np.max(log_p), out=p[: log_p.size])
+    p /= p.sum()
+    return np.concatenate(ratio_chunks), p
+
+
 def auto_truncation(params: MaserParams) -> PhotonStatistics:
     """Statistics on a truncation N with the recurrence contracting on
     N/4 <= n < N and an adequately small tail, from default averages.
 
-    Candidates double on failure up to :data:`HARD_LIMIT` levels.  The
-    recurrence is evaluated in chunks of links from level 0 that serve
-    every candidate: each chunk's log ratios are taken once and continue
-    one running sum.  Evaluation stops at a level L once both hold:
-
-    (i) L is past the level from which every link ratio contracts by the
-        bound the candidate rule rests on: the gain is at most n_ex/(n+1)
-        for any tau, and at most the pump n_ex (g tau_max)^2 for a fixed
-        tau or a node list; the closed exponential gain is below 1 past
-        the crossing;
-    (ii) log p_L lies more than :data:`UNDERFLOW_LOG` below its running
-         maximum, or a trapping zero was hit.
-
-    The first chunk reaches the level of (i), and at least
-    :data:`FIRST_CHUNK` links; each later one ends where the bound
-    n_ex/(n+1) makes (ii) certain, or at the candidate's edge.
-
-    From L on log p only falls, so every later p_n is exactly 0.0, as it
-    is when the whole candidate is solved.  p is zero-filled there and
-    normalized over all N + 1 levels, so p, N and the tail bound are the
-    bits of ``steady_state(params, N)``.  The numeric contraction check
-    runs on the evaluated links of [N/4, L); (i) covers the rest.  A
-    candidate evaluated to its edge has the edge ratio for the tail bound;
-    one stopped before it has p_N = 0 and tail bound 0.
+    Candidates double on failure up to :data:`HARD_LIMIT` levels.  Each
+    one runs the evaluator of ``steady_state(params, N)`` from level 0,
+    told the level past which every link ratio contracts by the bound the
+    candidate rule rests on: the gain is at most n_ex/(n+1) for any tau,
+    and at most the pump n_ex (g tau_max)^2 for a fixed tau or a node
+    list; the closed exponential gain is below 1 past the crossing.  So
+    it stops where p underflows past that level, and p, N and the tail
+    bound are the bits of ``steady_state(params, N)``.  The numeric
+    contraction check runs on the evaluated links of [N/4, N), the bound
+    on the rest.  A candidate evaluated to its edge has the edge ratio
+    for the tail bound; one stopped before it has p_N = 0 and bound 0.
     """
     n_ex = params.n_ex
     if params.r == 0.0:
@@ -249,41 +262,18 @@ def auto_truncation(params: MaserParams) -> PhotonStatistics:
     settled = math.ceil(reach)  # every link n >= settled contracts
 
     averages = TrigAverages.for_params(params)
-    ratio_chunks, log_chunks = [], [np.zeros(1)]  # log p_0 = 0
-    hi = 0  # links 0..hi-1 are evaluated, log p on levels 0..hi
-    peak = 0.0  # running maximum of log p
-    zero_beyond = False  # every level past hi has p_n == 0
     while True:
         if candidate > HARD_LIMIT:
             raise ResourceLimitError(
                 f"adequate truncation exceeds the hard limit of {HARD_LIMIT} levels"
             )
-        with np.errstate(divide="ignore"):  # a trapping zero has log ratio -inf
-            while hi <= candidate and not zero_beyond:
-                lo = hi
-                if lo == 0:
-                    hi = min(max(FIRST_CHUNK, settled), candidate + 1)
-                else:
-                    gap = float(log_chunks[-1][-1]) - peak + UNDERFLOW_LOG
-                    hi = _fallen_by(params, lo, gap, candidate + 1)
-                chunk = recurrence_ratios(params, hi, averages, lo)
-                log_chunk = np.log(chunk)
-                # continue the running sum: the bits of one cumsum from level 0
-                log_chunk[0] += log_chunks[-1][-1]
-                log_chunk.cumsum(out=log_chunk)
-                ratio_chunks.append(chunk)
-                log_chunks.append(log_chunk)
-                peak = max(peak, float(log_chunk.max()))
-                zero_beyond = hi >= settled and log_chunk[-1] < peak - UNDERFLOW_LOG
-        ratios = np.concatenate(ratio_chunks)
-        log_p = np.concatenate(log_chunks)
-        top = min(hi, candidate)
-        if np.all(ratios[candidate // 4 : top] < 1.0):
-            p = _normalized(log_p[: top + 1], candidate)
-            if p[-1] == 0.0 or p[-1] <= TAIL_TOL * p.max():
-                # p_N == 0 when the edge link was not evaluated: the bound reads no ratio
-                edge = float(ratios[candidate]) if hi > candidate else 0.0
-                return PhotonStatistics(p, candidate, _tail_bound(p, edge))
+        ratios, p = _recurrence(params, candidate, settled, averages)
+        if np.all(ratios[candidate // 4 : candidate] < 1.0) and (
+            p[-1] == 0.0 or p[-1] <= TAIL_TOL * p.max()
+        ):
+            # p_N == 0 when the edge link was not evaluated: the bound reads no ratio
+            edge = float(ratios[candidate]) if ratios.size > candidate else 0.0
+            return PhotonStatistics(p, candidate, _tail_bound(p, edge))
         candidate *= 2
 
 

@@ -2,6 +2,7 @@
 and the dense brute-force fixed-point oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -347,6 +348,20 @@ def _search_sample():
     return sample
 
 
+def _whole_truncation(params, N):
+    """p and the tail bound of the recurrence solved whole on levels 0..N,
+    written out here apart from the library's evaluator: the log ratios of
+    links 0..N-1, one cumsum from level 0, exp(log p - max) divided by its
+    sum over the N + 1 levels, and the geometric tail from the edge link."""
+    ratios = recurrence_ratios(params, N + 1)
+    with np.errstate(divide="ignore"):  # a trapping zero has log ratio -inf
+        log_p = np.concatenate(([0.0], np.cumsum(np.log(ratios[:N]))))
+    p = np.exp(log_p - np.max(log_p))
+    p /= p.sum()
+    edge = ratios[N]
+    return p, (0.0 if p[-1] == 0.0 else p[-1] * edge / (1.0 - edge))
+
+
 def test_search_gives_the_bits_of_the_whole_truncation_on_a_sample():
     """The search evaluates the recurrence only until every later p_n is
     exactly zero; on a seeded sample its statistics are still the bits of
@@ -354,11 +369,23 @@ def test_search_gives_the_bits_of_the_whole_truncation_on_a_sample():
     evaluate contract as the bound says."""
     for params in _search_sample():
         searched = auto_truncation(params)
-        reference = steady_state(params, searched.N)
-        assert np.array_equal(searched.p, reference.p), params
-        assert searched.tail_mass_bound == reference.tail_mass_bound, params
+        p, tail_mass_bound = _whole_truncation(params, searched.N)
+        assert np.array_equal(searched.p, p), params
+        assert searched.tail_mass_bound == tail_mass_bound, params
         ratios = recurrence_ratios(params, searched.N)
         assert np.all(ratios[searched.N // 4 :] < 1.0), params
+
+
+def test_steady_state_refuses_negative_recurrence_ratios():
+    """A family with a negative weight gives negative link ratios; the
+    given-truncation path refuses them with a ValueError, not with a
+    warning from their logs."""
+    params = MaserParams(1.0, 0.0, 50.0, 0.3, FixedTau(1.0))
+    averages = TrigAverages(gtaus=[0.3], weights=[-1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^recurrence ratios must be non-negative$"):
+            steady_state(params, 40, averages)
 
 
 def test_search_evaluates_the_recurrence_to_the_support(maser_params, recurrence_calls):

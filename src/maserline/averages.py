@@ -189,7 +189,15 @@ class TrigAverages:
         has a rule to select, so a given ``n_nodes`` raises ``ValueError``.
         The exponential distribution is the closed form, or with
         ``n_nodes`` the Gauss-Laguerre rule of that many nodes.
+
+        A block's records (:func:`maserline.model.block_rates`) give the
+        closed form of the first record, which the block's records share
+        when they share g, or else their node lists stacked (:meth:`stack`).
         """
+        if not isinstance(params, MaserParams):
+            if n_nodes is None and isinstance(params[0].tau_dist, ExponentialTau):
+                return cls.for_params(params[0])
+            return cls.stack([cls.for_params(record, n_nodes) for record in params])
         dist = params.tau_dist
         if isinstance(dist, ExponentialTau):
             if n_nodes is None:
@@ -212,6 +220,13 @@ class TrigAverages:
         if not all(np.array_equal(w, weights[0]) for w in weights[1:]):
             raise ValueError("stacked node lists must share their weights")
         return cls(gtaus=np.array(gtaus), weights=weights[0])
+
+    @property
+    def rows(self) -> int | None:
+        """The length of the row axis, None without one."""
+        if self._gtaus is None or self._gtaus.ndim == 1:
+            return None
+        return self._gtaus.shape[0]
 
     @property
     def point_data(self) -> tuple[np.ndarray, np.ndarray]:

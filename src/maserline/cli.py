@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .averages import TrigAverages
-from .errors import ConfigError, MaserlineError, VacuumStateError
+from .errors import ConfigError, MaserlineError
 from .linewidth import (
     _block_rows,
     linewidth_components,
@@ -57,7 +58,7 @@ from .regression import (
     spectral_decomposition,
     spectrum_and_fwhm,
 )
-from .steady import require_excitation, steady_state
+from .steady import require_excitation, search_rows, search_width, steady_state, steady_states
 from .uniform import build_uniform_lindblad, uniform_linewidth
 
 THRESHOLD_THETA_BAR = 1.0 / math.sqrt(2.0)
@@ -235,19 +236,73 @@ SCAN_THETA_COLUMNS = [
 ]
 
 
+def _row_statistics(records: list[MaserParams], N: int | None):
+    """``(i, stats, family)`` for each record i, in order.
+
+    A run of consecutive records whose evaluation one chunk takes whole (a
+    given ``N``, or one :func:`search_width`) is evaluated as one stack of
+    at most ``_block_rows(width)`` records, and ``family`` is their family
+    with its row axis.  Any other record runs ``steady_state`` on its own,
+    with ``family`` None, when its turn comes: so its full statistics are
+    not held beside those of other records.
+    """
+    widths = [N + 1 if N is not None else search_width(params) for params in records]
+    start = 0
+    while start < len(records):
+        width = widths[start]
+        if width is None:
+            yield start, steady_state(records[start], N), None
+            start += 1
+            continue
+        stop = start + 1
+        while stop < len(records) and widths[stop] == width and stop - start < _block_rows(width):
+            stop += 1
+        run = records[start:stop]
+        if N is None:
+            stats, family = search_rows(run)
+        else:
+            family = TrigAverages.for_params(run)
+            stats = steady_states(run, N, family)
+        yield from zip(range(start, stop), stats, itertools.repeat(family))
+        start = stop
+
+
+def _fill_rows(rows: list[dict], records: list[MaserParams], N: int | None, fill_block, on_support=False):
+    """Set each row's n_mean from the statistics of :func:`_row_statistics`
+    (cut to their support with ``on_support``), and its status to vacuum
+    where the mean is 0; call ``fill_block`` on each block of consecutive
+    rows with an excitation that share one basis size N, at most
+    ``_block_rows(N + 1)`` of them, as ``(row, params, stats, family)``
+    entries.  A block is filled as soon as it is complete, so only one
+    block's statistics are held at a time."""
+    block = []
+    for i, stats, family in _row_statistics(records, N):
+        if on_support:
+            stats = stats.on_support()
+        rows[i]["n_mean"] = stats.mean
+        if stats.mean == 0.0:
+            rows[i]["status"] = "vacuum"
+            continue
+        if block and (stats.N != block[0][2].N or len(block) == _block_rows(stats.N + 1)):
+            fill_block(block)
+            block = []
+        block.append((rows[i], records[i], stats, family))
+    if block:
+        fill_block(block)
+
+
 def _scan_theta_rows(cfg: dict, thetas_over_pi) -> list[dict]:
     """The rows of ``thetas_over_pi``, in that order.
 
-    The truncation search runs per row.  Consecutive rows with an
-    excitation that share one basis size N (after the ``on_support`` cut)
-    then form a block, of at most ``_block_rows(N + 1)`` rows, evaluated
-    as soon as it is complete: so only one block's statistics are held at
-    a time.  A vacuum row is set aside and keeps its empty cells.
+    The statistics come from :func:`_row_statistics`: at r/kappa = 50
+    every row's first candidate has 200 levels, and the rows are searched
+    as stacks; at r/kappa >= 1000 most rows are searched one at a time.
+    Cut to their support, they are filled in blocks of one basis size
+    (:func:`_fill_rows`).  A vacuum row keeps its empty cells.
     """
     rate = float(cfg["rate"])
     kappa = float(cfg["kappa"])
-    rows = []
-    block = []  # (row, params, stats) of the block being gathered
+    rows, records = [], []
     for theta_over_pi in thetas_over_pi:
         theta = theta_over_pi * math.pi
         if rate > 0:
@@ -256,47 +311,38 @@ def _scan_theta_rows(cfg: dict, thetas_over_pi) -> list[dict]:
             g_tau = 1.0
         else:
             g_tau = float(cfg["g_tau"])
-        params = _params_from_config(cfg, g_tau=g_tau)
-        # every quantity of the row is exact on the levels up to the last p_n != 0
-        stats = steady_state(params, cfg["trunc"]).on_support()
-        row = {"theta": theta, "g_tau": g_tau, "n_mean": stats.mean, "status": "ok"}
-        rows.append(row)
-        try:
-            require_excitation(stats)
-        except VacuumStateError:
-            row["status"] = "vacuum"
-            continue
-        if block and (stats.N != block[0][2].N or len(block) == _block_rows(stats.N + 1)):
-            _scan_theta_block(block)
-            block = []
-        block.append((row, params, stats))
-    if block:
-        _scan_theta_block(block)
+        records.append(_params_from_config(cfg, g_tau=g_tau))
+        rows.append({"theta": theta, "g_tau": g_tau, "status": "ok"})
+    # every quantity of the row is exact on the levels up to the last p_n != 0
+    _fill_rows(rows, records, cfg["trunc"], _scan_theta_block, on_support=True)
     return rows
 
 
 def _scan_theta_block(block: list[tuple]) -> None:
-    """Fill the linewidth cells of a block's (row, params, stats) triples:
-    one call of each weight, generator and slope builder on a family with
-    one row per record, each row reduced on its own slice.  The records
-    differ in g only, so the first one's params carry the rates of all."""
-    _, params, stats = block[0]
-    N = stats.N
+    """Fill the linewidth cells of a block's (row, params, stats, family)
+    entries: one call of each weight, generator and slope builder on the
+    block's records, each row reduced on its own slice.  The records
+    differ in g, so the builders take a family with one row per record:
+    the family of the stack the rows were searched in when the block is
+    that whole stack, else the records' node lists stacked anew."""
+    rows, records, stats, families = zip(*block)
+    N = stats[0].N
     if len(block) == 1:
         # one record: no row axis, which would only add broadcasting, and no lists
-        averages, v0 = TrigAverages.for_params(params), initial_sideband(stats)
+        records, stats = records[0], stats[0]
+        averages = TrigAverages.for_params(records)
     else:
-        stats = [row_stats for _, _, row_stats in block]
-        averages = TrigAverages.stack([TrigAverages.for_params(row_params) for _, row_params, _ in block])
-        v0 = np.array([initial_sideband(s) for s in stats])
+        averages = families[0]
+        if averages is None or averages.rows != len(block) or any(f is not averages for f in families):
+            averages = TrigAverages.for_params(records)
     columns = (
-        linewidth_components(params, stats, averages),
-        linewidth_mcgowan(params, stats, averages),
-        linewidth_from_slope(build_sideband_generator(params, N, averages), v0),
+        linewidth_components(records, stats, averages),
+        linewidth_mcgowan(records, stats, averages),
+        linewidth_from_slope(build_sideband_generator(records, N, averages), initial_sideband(stats)),
     )
     if len(block) == 1:
         columns = [[value] for value in columns]
-    for (row, row_params, row_stats), breakdown, d_mcgowan, d_slope in zip(block, *columns):
+    for (row, row_params, row_stats, _), breakdown, d_mcgowan, d_slope in zip(block, *columns):
         ratio, reference = schawlow_townes_ratio(row_params, row_stats, breakdown.total)
         row.update(
             D_main=breakdown.total,
@@ -315,6 +361,10 @@ def cmd_scan_theta(cfg: dict) -> None:
     if float(cfg["rate"]) > 0 and cfg["g_tau"] is not None:
         raise ConfigError("scan-theta sets g*tau from theta at rate > 0 and reads g_tau at rate 0 only")
     thetas = _scan_range(cfg, 0.1, 4.0)  # in units of pi
+    # min < max, so the lowest theta is the --min end of the scan
+    if float(cfg["rate"]) > 0 and not thetas[0] > 0:
+        raise ConfigError(f"--min {float(thetas[0])!r} puts theta <= 0 in the scan; at rate > 0 theta "
+                          "sets g*tau = theta / sqrt(rate / kappa), which must be positive")
     rows = _map_ordered(functools.partial(_scan_theta_rows, cfg), thetas, int(cfg["jobs"]))
     table = {name: [row.get(name) for row in rows] for name in SCAN_THETA_COLUMNS}
     _emit(cfg, {"scan": "theta_over_pi"}, table)
@@ -406,29 +456,36 @@ def _parse_orders(text: str) -> list[tuple[int, int]]:
 
 
 def _uniform_rows(cfg: dict, families, theta_bars) -> list[dict]:
-    return [_uniform_row(cfg, families, theta_bar) for theta_bar in theta_bars]
-
-
-def _uniform_row(cfg: dict, families, theta_bar) -> dict:
+    """The rows of ``theta_bars``, in that order: the exact model's
+    statistics, then per block of one basis size (:func:`_fill_rows`) the
+    closed forms and one ``uniform_linewidth`` call per family.  A vacuum
+    row keeps its empty cells."""
     g_bar = float(cfg["g_tau"])
-    rate = (theta_bar / g_bar) ** 2 * float(cfg["kappa"])
-    base = dict(cfg, rate=rate)
-    params = _params_from_config(base)
-    row = {
-        "theta_bar": theta_bar,
-        "status": "ok" if theta_bar >= THRESHOLD_THETA_BAR else "below-threshold",
+    rows, records = [], []
+    for theta_bar in theta_bars:
+        rate = (theta_bar / g_bar) ** 2 * float(cfg["kappa"])
+        records.append(_params_from_config(dict(cfg, rate=rate)))
+        rows.append({
+            "theta_bar": theta_bar,
+            "status": "ok" if theta_bar >= THRESHOLD_THETA_BAR else "below-threshold",
+        })
+    _fill_rows(rows, records, cfg["trunc"], functools.partial(_uniform_block, families))
+    return rows
+
+
+def _uniform_block(families, block: list[tuple]) -> None:
+    """Fill the linewidth cells of a block's (row, params, stats, family)
+    entries, whose records differ in r only: each route runs once on the
+    block, and each row is reduced on its own slice."""
+    rows, records, stats, _ = zip(*block)
+    columns = {
+        "D_exact": linewidth_exp_closed(records, stats),
+        "D_exp_scully": linewidth_exp_scully(records, stats),
     }
-    stats = steady_state(params, cfg["trunc"])
-    row["n_mean"] = stats.mean
-    try:
-        row["D_exact"] = linewidth_exp_closed(params, stats)
-        row["D_exp_scully"] = linewidth_exp_scully(params, stats)
-    except VacuumStateError:
-        row["status"] = "vacuum"
-        return row
     for order_sin, family in families:
-        row[f"D_order_{order_sin}"] = uniform_linewidth(params, family, stats.N)
-    return row
+        columns[f"D_order_{order_sin}"] = uniform_linewidth(records, family, stats[0].N)
+    for i, row in enumerate(rows):
+        row.update({name: values[i] for name, values in columns.items()})
 
 
 def cmd_uniform_convergence(cfg: dict) -> None:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averages import TrigAverages, refine_until_stable
-from .model import ExponentialTau, FixedTau, MaserParams
+from .model import ExponentialTau, FixedTau, MaserParams, block_rates
 from .steady import PhotonStatistics, require_excitation
 
 
@@ -68,14 +68,18 @@ def pump_weights(
 
         D <n> / kappa = n_th + sum_n p_n (cos_w[n] + sin_w[n]).
 
-    A family with a row axis gives arrays (rows, n_max + 1), row i at the
-    rates of ``params`` and the Rabi angles of the family's row i.
+    A family with a row axis, or a block's records that differ in r
+    (:func:`maserline.model.block_rates`), gives arrays (rows, n_max + 1):
+    row i at the rates of record i (or of the one record) and the Rabi
+    angles of the family's row i.
     """
     if averages is None:
         averages = TrigAverages.for_params(params)
+    kappa, _, r = block_rates(params, averages)
+    n_ex = r / kappa
     n = np.arange(n_max + 1, dtype=float)
     cos_sq, sin_sq = averages.squared_differences(n)
-    return params.n_ex * n * cos_sq, params.n_ex * sin_sq
+    return n_ex * n * cos_sq, n_ex * sin_sq
 
 
 def mcgowan_weights(
@@ -95,13 +99,14 @@ def mcgowan_weights(
     """
     if averages is None:
         averages = TrigAverages.for_params(params)
+    kappa, n_th, r = block_rates(params, averages)
     n = np.arange(n_max + 1, dtype=float)
     s = np.sqrt(n)
     s1 = np.sqrt(n + 1.0)
-    pump = params.n_ex * averages.one_minus_cos_diff(1.0 / (s + s1))
+    pump = r / kappa * averages.one_minus_cos_diff(1.0 / (s + s1))
     down = 0.25 / (n - 0.5 + np.sqrt(n * np.maximum(n - 1.0, 0.0)))
     up = 0.25 / (n + 0.5 + s * s1)
-    return 2.0 * n * (pump + (1.0 + params.n_th) * down + params.n_th * up)
+    return 2.0 * n * (pump + (1.0 + n_th) * down + n_th * up)
 
 
 def _by_row(reduce, stats, *weights):
@@ -112,6 +117,8 @@ def _by_row(reduce, stats, *weights):
     if isinstance(stats, PhotonStatistics):
         return reduce(stats, require_excitation(stats), *weights)
     means = [require_excitation(row_stats) for row_stats in stats]
+    # records that share every rate and a family without rows give one row of weights
+    weights = [np.broadcast_to(w, (len(stats), w.shape[-1])) if isinstance(w, np.ndarray) else w for w in weights]
     return [reduce(*row) for row in zip(stats, means, *weights, strict=True)]
 
 
@@ -123,6 +130,11 @@ def _basis_size(stats) -> int:
     if any(row_stats.N != N for row_stats in stats):
         raise ValueError(f"a block's statistics must share one basis size, got {[s.N for s in stats]}")
     return N
+
+
+def _first(params) -> MaserParams:
+    """The one record, or the first record of a block."""
+    return params if isinstance(params, MaserParams) else params[0]
 
 
 def linewidth_components(
@@ -138,14 +150,17 @@ def linewidth_components(
 
     ``stats`` may also be a block: a sequence of statistics on one basis
     size, with one row of ``averages`` per statistics
-    (:meth:`TrigAverages.stack`).  The weights are built once for the
-    block, and the result is the list of the rows' breakdowns.
+    (:meth:`TrigAverages.stack`), or with ``params`` the block's records
+    (:func:`maserline.model.block_rates`).  The weights are built once for
+    the block, and the result is the list of the rows' breakdowns.
     """
     cos_w, sin_w = pump_weights(params, _basis_size(stats), averages)
+    first = _first(params)  # pump_weights has checked that the records share kappa and n_th
+    kappa, n_th = first.kappa, first.n_th
 
     def breakdown(row_stats, mean, cos_row, sin_row):
-        scale = params.kappa / mean
-        thermal = params.n_th * scale
+        scale = kappa / mean
+        thermal = n_th * scale
         cosine = float(row_stats.p @ cos_row) * scale
         sine = float(row_stats.p @ sin_row) * scale
         return LinewidthBreakdown(
@@ -168,9 +183,10 @@ def linewidth_mcgowan(
     a block gives the list of its rows' values (see
     :func:`linewidth_components`)."""
     w = mcgowan_weights(params, _basis_size(stats), averages)
+    kappa = _first(params).kappa
 
     def traced(row_stats, mean, w_row):
-        return float(row_stats.p @ w_row) * params.kappa / mean
+        return float(row_stats.p @ w_row) * kappa / mean
 
     return _by_row(traced, stats, w)
 
@@ -191,6 +207,17 @@ def linewidth_scully(params: MaserParams, stats: PhotonStatistics) -> float:
     return loss + 4.0 * params.r * np.sin(arg) ** 2
 
 
+def _exponential_rows(params, stats, route: str) -> list[MaserParams] | MaserParams:
+    """The records of the exponential closed forms, one per statistics of
+    a block: checked to share kappa, n_th, g and the exponential tau."""
+    block_rates(params)
+    if not isinstance(_first(params).tau_dist, ExponentialTau):
+        raise ValueError(f"{route} requires an exponential distribution")
+    if isinstance(params, MaserParams) and not isinstance(stats, PhotonStatistics):
+        return [params] * len(stats)
+    return params
+
+
 def linewidth_exp_closed(params: MaserParams, stats: PhotonStatistics) -> float:
     """Closed form of the exact route for exponential tau at n_th = 0:
 
@@ -202,27 +229,39 @@ def linewidth_exp_closed(params: MaserParams, stats: PhotonStatistics) -> float:
     for consistency with the slope and trace routes; through the
     detailed-balance recurrence it is equivalent to evaluating the
     summand against p_{n+1} with the first denominator factor dropped.
+
+    A block (records that differ in r, with their statistics on one
+    basis size) builds the summand, which depends on gb and N only, once,
+    and gives the list of its rows' values, each with the bits of its
+    one-row call.
     """
-    if not isinstance(params.tau_dist, ExponentialTau):
-        raise ValueError("linewidth_exp_closed requires an exponential distribution")
-    if params.n_th != 0.0:
+    records = _exponential_rows(params, stats, "linewidth_exp_closed")
+    first = _first(params)
+    if first.n_th != 0.0:
         raise ValueError("the closed form holds for n_th = 0 only")
-    mean = require_excitation(stats)
-    gb2 = params.g_bar**2
-    n = np.arange(stats.N + 1, dtype=float)
+    kappa, gb2 = first.kappa, first.g_bar**2
+    n = np.arange(_basis_size(stats) + 1, dtype=float)
     numer = 1.0 + gb2 * (3.0 * n + 2.0) + gb2 * gb2 * (n + 1.0) * (4.0 * n + 1.0)
     denom = (1.0 + 4.0 * gb2 * (n + 1.0)) * (1.0 + 2.0 * gb2 * (2.0 * n + 1.0) + gb2 * gb2)
-    pump = 2.0 * params.theta_bar**2
-    return pump * params.kappa * float(stats.p @ (numer / denom)) / mean
+    summand = numer / denom
+
+    def closed(row_stats, mean, record):
+        pump = 2.0 * record.theta_bar**2
+        return pump * kappa * float(row_stats.p @ summand) / mean
+
+    return _by_row(closed, stats, records)
 
 
 def linewidth_exp_scully(params: MaserParams, stats: PhotonStatistics) -> float:
     """Above-threshold approximation for exponential tau:
-    D = kappa (1 + 2 theta_bar^2) / (4 <n>)."""
-    if not isinstance(params.tau_dist, ExponentialTau):
-        raise ValueError("linewidth_exp_scully requires an exponential distribution")
-    mean = require_excitation(stats)
-    return params.kappa * (1.0 + 2.0 * params.theta_bar**2) / (4.0 * mean)
+    D = kappa (1 + 2 theta_bar^2) / (4 <n>); a block gives the list of its
+    rows' values (see :func:`linewidth_exp_closed`)."""
+    records = _exponential_rows(params, stats, "linewidth_exp_scully")
+
+    def approximation(row_stats, mean, record):
+        return record.kappa * (1.0 + 2.0 * record.theta_bar**2) / (4.0 * mean)
+
+    return _by_row(approximation, stats, records)
 
 
 def schawlow_townes_ratio(params: MaserParams, stats: PhotonStatistics, linewidth: float) -> tuple[float, float]:

@@ -142,3 +142,41 @@ class MaserParams:
     def theta_bar(self) -> float:
         """Pump parameter sqrt(r/kappa) * g * tau_bar (exponential only)."""
         return math.sqrt(self.n_ex) * self.g_bar
+
+
+def _same_dist(a: InteractionTimeDistribution, b: InteractionTimeDistribution) -> bool:
+    if isinstance(a, DiscreteTau) and isinstance(b, DiscreteTau):
+        return np.array_equal(a.taus, b.taus) and np.array_equal(a.weights, b.weights)
+    return a == b
+
+
+def block_rates(params, averages=None) -> tuple[float, float, float | np.ndarray]:
+    """kappa, n_th and r of the rows of a block, as its builders read them.
+
+    ``params`` is one record, whose rates every row shares, or a block: a
+    sequence of records, one per row.  The records of a block must share
+    kappa, n_th and the distribution.  Their r may differ: it is then a
+    column (rows, 1), so each row is built at its own rate with the bits
+    of a one-record call.  Their g may differ only across the rows of a
+    family ``averages`` with a row axis (``averages.rows``), whose row
+    count must be the record count.  Anything else raises ``ValueError``
+    naming the field.
+    """
+    if isinstance(params, MaserParams):
+        return params.kappa, params.n_th, params.r
+    rows = None if averages is None else averages.rows
+    first = params[0]
+    for name in ("kappa", "n_th"):
+        if any(getattr(record, name) != getattr(first, name) for record in params):
+            raise ValueError(f"the records of a block must share {name}")
+    if any(not _same_dist(record.tau_dist, first.tau_dist) for record in params):
+        raise ValueError("the records of a block must share tau_dist")
+    if rows is None:
+        if any(record.g != first.g for record in params):
+            raise ValueError("the records of a block differ in g, and the family has no row axis")
+    elif rows != len(params):
+        raise ValueError(f"a family of {rows} rows cannot serve {len(params)} records")
+    rates = [record.r for record in params]
+    if all(r == first.r for r in rates):
+        return first.kappa, first.n_th, first.r
+    return first.kappa, first.n_th, np.array(rates)[:, None]

@@ -39,11 +39,14 @@ family's ``anticommutator_norm``.  That norm is exactly 1 for node lists
 and the closed form, and below 1 for the truncated Laguerre sums of the
 uniform approximation, whose jump-operator set is truncated.
 
-The row axis: records that differ in g only (the rows of a ``scan-theta``
-block) share every rate, so their generators are built at once from one
-family with a row axis (:meth:`TrigAverages.stack`), as one stacked
-:class:`SidebandGenerator`; :func:`linewidth_from_slope` then reduces each
-row on its own slice, with the bits of the one-row call.
+The row axis: the records of a block (:func:`maserline.model.block_rates`)
+have their generators built at once, as one stacked
+:class:`SidebandGenerator`.  Records that differ in g (the rows of a
+``scan-theta`` block) take a family with a row axis
+(:meth:`TrigAverages.stack`); records that differ in r (the rows of a
+``uniform-convergence`` block) take their rates as a column, beside one
+shared family.  :func:`linewidth_from_slope` then reduces each row on its
+own slice, with the bits of the one-row call.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import numpy as np
 
 from .averages import TrigAverages
 from .errors import SpectralError, VacuumStateError
-from .model import MaserParams
+from .model import MaserParams, block_rates
 from .steady import PhotonStatistics
 
 SUM_RULE_TOL = 1e-10
@@ -154,14 +157,15 @@ def build_sideband_generator(
 ) -> SidebandGenerator:
     """Generator of the coherence sector on v_0..v_{N-1} (N+1 Fock levels).
 
-    A family with a row axis gives a stacked generator, ``sub`` and
-    ``diag`` of shape (rows, N): row i at the rates of ``params`` and the
-    Rabi angles of the family's row i, its last-row correction included."""
+    A family with a row axis, or a block's records that differ in r, gives
+    a stacked generator, ``sub`` and ``diag`` of shape (rows, N): row i at
+    the rates of record i (or of the one record) and the Rabi angles of the
+    family's row i, its last-row correction included."""
     if N < 2:
         raise ValueError(f"the sideband sector needs at least 2 components, got {N}")
     if averages is None:
         averages = TrigAverages.for_params(params)
-    kappa, n_th, r = params.kappa, params.n_th, params.r
+    kappa, n_th, r = block_rates(params, averages)
     n = np.arange(N, dtype=float)
     s = np.sqrt(n)
     s1 = np.sqrt(n + 1.0)
@@ -177,14 +181,19 @@ def build_sideband_generator(
     sup[-1] = 0.0
     # truncated-operator convention: the anticommutator halves living on
     # level N+1 are absent from the literal matrices
+    # (a column of rows, as the rates are)
     top = np.sqrt(N + 1.0)
-    diag[..., -1] += kappa * n_th * (N + 1.0) / 2.0 + 0.5 * r * averages.sin_sin(top, top)
+    edge = np.asarray(averages.sin_sin(top, top))[..., None]
+    diag[..., -1:] += kappa * n_th * (N + 1.0) / 2.0 + 0.5 * r * edge
     return SidebandGenerator(sub, diag, sup, N)
 
 
 def initial_sideband(stats: PhotonStatistics) -> np.ndarray:
-    """v(0) from P(0) = a rho_ss: v_n = sqrt(n+1) p_{n+1}."""
-    return coherence_weights(stats.N) * stats.p[1:]
+    """v(0) from P(0) = a rho_ss: v_n = sqrt(n+1) p_{n+1}.  A block's
+    statistics on one basis size give one row per statistics."""
+    if isinstance(stats, PhotonStatistics):
+        return coherence_weights(stats.N) * stats.p[1:]
+    return coherence_weights(stats[0].N) * np.array([row_stats.p for row_stats in stats])[:, 1:]
 
 
 def linewidth_from_slope(gen: SidebandGenerator, v0: np.ndarray) -> float:

@@ -40,7 +40,7 @@ import numpy as np
 from .averages import TrigAverages
 from .model import ExponentialTau, MaserParams
 from .regression import SidebandGenerator, build_sideband_generator, initial_sideband, linewidth_from_slope
-from .steady import PhotonStatistics, steady_state
+from .steady import PhotonStatistics, steady_state, steady_states
 
 
 # entries a LaguerreAverages keeps before it starts afresh: a row of
@@ -184,18 +184,29 @@ def uniform_steady_state(params: MaserParams, averages: LaguerreAverages, N: int
     """Stationary statistics of the truncated model (its own detailed balance):
 
         (1 + n_th) p_{n+1} = [ n_th + n_ex sum_k ck_sin^2 / (n+1) ] p_n
-    """
-    return steady_state(params, N, averages)
+
+    A block's records, which share g and differ in r, give the list of
+    their statistics from one evaluation of the recurrence with their
+    rates as a column (:func:`maserline.steady.steady_states`)."""
+    if isinstance(params, MaserParams):
+        return steady_state(params, N, averages)
+    return steady_states(params, N, averages)
 
 
 def uniform_generator(params: MaserParams, averages: LaguerreAverages, N: int) -> SidebandGenerator:
-    """Coherence-sector generator of the truncated model."""
+    """Coherence-sector generator of the truncated model; a block's
+    records give one stacked generator whose rows carry their rates."""
     return build_sideband_generator(params, N, averages)
 
 
 def uniform_linewidth(params: MaserParams, averages: LaguerreAverages, N: int) -> float:
     """Linewidth of the truncated model on levels 0..N from the initial-slope
-    formula, seeded by the truncated model's own steady state."""
+    formula, seeded by the truncated model's own steady state.
+
+    A block's records (rows of one N that differ in r) give the list of
+    their linewidths: the statistics and the generator are built once for
+    the block, and each row is reduced on its own slice, with the bits of
+    its one-record call."""
     stats = uniform_steady_state(params, averages, N)
     gen = uniform_generator(params, averages, N)
     return linewidth_from_slope(gen, initial_sideband(stats))

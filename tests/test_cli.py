@@ -22,6 +22,8 @@ from maserline import (
     correlate,
     initial_sideband,
     linewidth_components,
+    linewidth_exp_closed,
+    linewidth_exp_scully,
     linewidth_from_slope,
     linewidth_mcgowan,
     linewidth_scully,
@@ -152,6 +154,34 @@ def test_scan_theta_blocks_of_two_rows_give_the_same_bytes(tmp_path, monkeypatch
     _, pairs = run(tmp_path, argv, "pairs.csv")
     assert blocks == [2, 2, 2, 1]
     assert pairs.read_bytes() == whole.read_bytes()
+
+
+@pytest.mark.parametrize("trunc", [None, 300])
+def test_scan_theta_stacks_share_one_family_with_their_block(tmp_path, monkeypatch, trunc):
+    """At r/kappa = 50 the rows are searched (or, with --trunc, solved) as
+    one stack, whose family the block's builders reuse: the node lists are
+    stacked once, and every row prints its one-row library results."""
+    argv = ["scan-theta", "--rate", "50", "--nth", "0.01", "--min", "0.3", "--max", "3.6", "--steps", "7"]
+    if trunc is not None:
+        argv += ["--trunc", str(trunc)]
+    stacked = []
+    stack = TrigAverages.stack.__func__
+
+    def counted(cls, families):
+        stacked.append(len(families))
+        return stack(cls, families)
+
+    monkeypatch.setattr(TrigAverages, "stack", classmethod(counted))
+    code, out = run(tmp_path, argv)
+    assert code == 0
+    assert stacked == [7]
+    for row in read_csv(out)[2]:
+        params = MaserParams(1.0, 0.01, 50.0, float(row["g_tau"]), FixedTau(1.0))
+        stats = steady_state(params, trunc).on_support()
+        breakdown = linewidth_components(params, stats)
+        assert row["n_mean"] == f"{stats.mean:.17g}" and row["D_main"] == f"{breakdown.total:.17g}"
+        slope = linewidth_from_slope(build_sideband_generator(params, stats.N), initial_sideband(stats))
+        assert row["D_slope"] == f"{slope:.17g}"
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -886,7 +916,8 @@ def test_uniform_convergence_cells_are_the_uniform_linewidth(tmp_path, kappa):
 
 def test_uniform_convergence_builds_each_family_once(tmp_path, monkeypatch):
     """A family depends on g_bar, not on the row's rate, so all rows share
-    one family per order pair."""
+    one family per order pair; the four rows share one basis size, so each
+    family serves them in one block call."""
     built, used = [], []
     build, linewidth = maserline.cli.build_uniform_lindblad, maserline.cli.uniform_linewidth
 
@@ -895,7 +926,7 @@ def test_uniform_convergence_builds_each_family_once(tmp_path, monkeypatch):
         return build(params, orders)
 
     def recorded_linewidth(params, averages, N):
-        used.append(averages)
+        used.append((averages, len(params)))
         return linewidth(params, averages, N)
 
     monkeypatch.setattr(maserline.cli, "build_uniform_lindblad", counted_build)
@@ -905,7 +936,107 @@ def test_uniform_convergence_builds_each_family_once(tmp_path, monkeypatch):
     code, _ = run(tmp_path, argv)
     assert code == 0
     assert built == [(1, 0), (3, 2)]
-    assert len(used) == 8 and len({id(family) for family in used}) == 2
+    assert [rows for _, rows in used] == [4, 4] and len({id(family) for family, _ in used}) == 2
+
+
+def _uniform_one_row_cells(theta_bars, g_bar=0.3, kappa=1.0, trunc=None, orders=((1, 0), (3, 2), (7, 6))):
+    """The cells of uniform-convergence rows from one-row library calls:
+    the exact statistics, the two closed forms and one uniform_linewidth
+    per order pair, record by record."""
+    rows = []
+    for theta_bar in theta_bars:
+        rate = (theta_bar / g_bar) ** 2 * kappa
+        params = MaserParams(kappa, 0.0, float(rate), g_bar * kappa, ExponentialTau(1.0 / kappa))
+        stats = steady_state(params, trunc)
+        row = {"theta_bar": theta_bar, "n_mean": stats.mean}
+        if stats.mean != 0.0:
+            row["D_exact"] = linewidth_exp_closed(params, stats)
+            row["D_exp_scully"] = linewidth_exp_scully(params, stats)
+            for pair in orders:
+                row[f"D_order_{pair[0]}"] = uniform_linewidth(params, build_uniform_lindblad(params, pair), stats.N)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("flags, theta_bars, options", [
+    # g_bar = 0.05: the first candidates reach 6800 levels, so the rows'
+    # basis sizes differ and their blocks split
+    (["--g-tau", "0.05", "--min", "0.5", "--max", "2.5", "--steps", "5"],
+     np.linspace(0.5, 2.5, 5), {"g_bar": 0.05}),
+    (["--min", "0", "--max", "2.0", "--steps", "5"], np.linspace(0.0, 2.0, 5), {}),  # a vacuum row
+    (["--trunc", "400", "--min", "0.4", "--max", "3.0", "--steps", "6"], np.linspace(0.4, 3.0, 6), {"trunc": 400}),
+    (["--format", "json", "--steps", "7"], np.linspace(0.2, 3.0, 7), {}),
+    (["--jobs", "2", "--steps", "7", "--orders", "1,0;5,4"], np.linspace(0.2, 3.0, 7), {"orders": ((1, 0), (5, 4))}),
+    (["--kappa", "2", "--steps", "5"], np.linspace(0.2, 3.0, 5), {"kappa": 2.0}),
+], ids=["g_tau-0.05", "min-0", "trunc-400", "json", "jobs-2", "kappa-2"])
+def test_uniform_blocks_print_the_one_row_results(tmp_path, flags, theta_bars, options):
+    """Rows evaluated in blocks print every cell of their one-row library
+    calls to the last digit; a vacuum row keeps its empty cells."""
+    as_json = "json" in flags
+    code, out = run(tmp_path, ["uniform-convergence", "--dist", "exp", *flags], "out.json" if as_json else "out.csv")
+    assert code == 0
+    printed = json.loads(out.read_text())["rows"] if as_json else read_csv(out)[2]
+    expected = _uniform_one_row_cells(theta_bars, **options)
+    assert len(printed) == len(expected)
+    for row, cells in zip(printed, expected):
+        if as_json:
+            assert {k: row[k] for k in row if k != "status"} == {k: float(v) for k, v in cells.items()}
+        else:
+            assert {k: v for k, v in row.items() if v != "" and k != "status"} == {
+                k: f"{v:.17g}" for k, v in cells.items()}
+        assert (row["status"] == "vacuum") == ("D_exact" not in cells)
+    if "--min" in flags and flags[flags.index("--min") + 1] == "0":
+        assert printed[0]["status"] == "vacuum"
+
+
+def test_uniform_blocks_of_two_rows_give_the_same_bytes(tmp_path, monkeypatch):
+    """Blocks bounded to two rows of N = 200 print the bytes of the
+    unbounded scan, whose 5 rows form one block per family."""
+    argv = ["uniform-convergence", "--dist", "exp", "--orders", "1,0;3,2", "--steps", "5"]
+    blocks = []
+    linewidth = maserline.cli.uniform_linewidth
+
+    def recorded(params, averages, N):
+        blocks.append(len(params))
+        return linewidth(params, averages, N)
+
+    monkeypatch.setattr(maserline.cli, "uniform_linewidth", recorded)
+    _, whole = run(tmp_path, argv, "whole.csv")
+    assert blocks == [5, 5]
+    blocks.clear()
+    monkeypatch.setattr(maserline.linewidth, "_BLOCK_ENTRIES", 2 * 201)
+    _, pairs = run(tmp_path, argv, "pairs.csv")
+    assert blocks == [2, 2, 2, 2, 1, 1]
+    assert pairs.read_bytes() == whole.read_bytes()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--min", "0", "--max", "0.5", "--steps", "3"], None),
+    (["--min", "-0.2", "--steps", "1"], None),
+    (["--steps", "2"], {"min": -1.0, "max": 1.0}),
+])
+def test_scan_theta_refuses_a_non_positive_theta_up_front(tmp_path, capsys, monkeypatch, argv, config):
+    """At rate > 0 theta sets g*tau, so a scan whose lowest theta is <= 0
+    is a ConfigError naming --min, raised before any row runs."""
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    monkeypatch.setattr(maserline.cli, "_scan_theta_rows", None)  # no row may run
+    assert main(["scan-theta", "--rate", "50", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith("--min ") and "theta sets g*tau" in err["message"]
+
+
+def test_scan_theta_at_rate_zero_reads_g_tau_whatever_theta(tmp_path):
+    """At rate 0 theta does not set g*tau, so a scan through theta = 0 runs."""
+    code, out = run(tmp_path, ["scan-theta", "--rate", "0", "--nth", "0.2", "--min", "0", "--max", "0.5",
+                               "--steps", "3"])
+    assert code == 0
+    assert [row["status"] for row in read_csv(out)[2]] == ["ok"] * 3
 
 
 def test_kappa_units_propagate(tmp_path):

@@ -29,8 +29,10 @@ from maserline import (
     refine_until_stable,
     schawlow_townes_ratio,
     steady_state,
+    uniform_linewidth,
 )
 from maserline.linewidth import _Band, _lowering_operator, jump_operator_matrices, mcgowan_weights, pump_weights
+from maserline.steady import steady_states
 from oracle import DenseLindblad, to_dense
 
 
@@ -429,6 +431,75 @@ def test_blocks_are_checked(maser_params, laser_params):
     discrete = dataclasses.replace(rows[0], tau_dist=DiscreteTau([0.5, 1.5], [0.5, 0.5]))
     with pytest.raises(ValueError, match="share their weights"):
         TrigAverages.stack([TrigAverages.for_params(rows[0]), TrigAverages.for_params(discrete)])
+
+
+def test_block_entry_points_check_their_records(maser_params, laser_params):
+    """Every block entry point serves the records it is given or refuses
+    them, naming the field: kappa, n_th or the distribution that differs,
+    g that differs across a family without a row axis, and a family whose
+    row count is not the record count."""
+    rows = [maser_params(theta) for theta in (0.5, 2.5)]
+    stats = [steady_state(p, 200) for p in rows]
+    stacked = TrigAverages.for_params(rows)
+    lasers = [laser_params(theta_bar) for theta_bar in (1.0, 2.0)]
+    laser_stats = [steady_state(p, 200) for p in lasers]
+    family = build_uniform_lindblad(lasers[0], (3, 2))
+    entry_points = {
+        "components": lambda records, averages: linewidth_components(records, stats, averages),
+        "mcgowan": lambda records, averages: linewidth_mcgowan(records, stats, averages),
+        "pump_weights": lambda records, averages: pump_weights(records, 200, averages),
+        "mcgowan_weights": lambda records, averages: mcgowan_weights(records, 200, averages),
+        "generator": lambda records, averages: build_sideband_generator(records, 200, averages),
+        "steady_states": lambda records, averages: steady_states(records, 200, averages),
+    }
+    mixed = {
+        "kappa": [rows[0], maser_params(2.5, kappa=2.0)],
+        "n_th": [rows[0], maser_params(2.5, n_th=0.1)],
+        "tau_dist": [rows[0], dataclasses.replace(rows[1], tau_dist=FixedTau(0.5))],
+    }
+    for name, build in entry_points.items():
+        for field, records in mixed.items():
+            with pytest.raises(ValueError, match=f"share {field}$"):
+                build(records, stacked)
+        with pytest.raises(ValueError, match="differ in g, and the family has no row axis"):
+            build(rows, TrigAverages.for_params(rows[0]))
+        with pytest.raises(ValueError, match="a family of 2 rows cannot serve 3 records"):
+            build(rows + rows[:1], stacked)
+    laser_entry_points = (
+        lambda records: uniform_linewidth(records, family, 200),
+        lambda records: linewidth_exp_closed(records, laser_stats),
+        lambda records: linewidth_exp_scully(records, laser_stats),
+    )
+    for build in laser_entry_points:
+        with pytest.raises(ValueError, match="differ in g"):
+            build([lasers[0], laser_params(2.0, g_bar=0.4)])
+        with pytest.raises(ValueError, match="share kappa$"):
+            build([lasers[0], laser_params(2.0, kappa=2.0)])
+    with pytest.raises(ValueError, match="exponential"):
+        linewidth_exp_closed([rows[1]] * 2, stats)
+
+
+def test_blocks_in_rate_are_the_one_row_results(maser_params, laser_params):
+    """Records that differ in r (and in g across a stacked family) are
+    built at their own rates: every route gives each row the bits of its
+    one-record call."""
+    rows = [maser_params(theta, r=r) for theta, r in ((0.4, 50.0), (2.5, 20.0), (3.1, 45.0))]
+    stats = [steady_state(p, 200) for p in rows]
+    stacked = TrigAverages.for_params(rows)
+    assert linewidth_components(rows, stats, stacked) == [linewidth_components(p, s) for p, s in zip(rows, stats)]
+    assert linewidth_mcgowan(rows, stats, stacked) == [linewidth_mcgowan(p, s) for p, s in zip(rows, stats)]
+    slopes = linewidth_from_slope(build_sideband_generator(rows, 200, stacked), initial_sideband(stats))
+    assert slopes == [linewidth_from_slope(build_sideband_generator(p, 200), initial_sideband(s))
+                      for p, s in zip(rows, stats)]
+    lasers = [laser_params(theta_bar) for theta_bar in (0.9, 1.7, 2.6, 2.6)]
+    laser_stats = [steady_state(p, 200) for p in lasers]
+    assert linewidth_exp_closed(lasers, laser_stats) == [linewidth_exp_closed(p, s) for p, s in zip(lasers, laser_stats)]
+    assert linewidth_exp_scully(lasers, laser_stats) == [linewidth_exp_scully(p, s) for p, s in zip(lasers, laser_stats)]
+    for orders in ((1, 0), (7, 6)):
+        family = build_uniform_lindblad(lasers[0], orders)
+        assert uniform_linewidth(lasers, family, 200) == [uniform_linewidth(p, family, 200) for p in lasers]
+    # one record for every row of a block: its rates and g serve them all
+    assert linewidth_exp_closed(lasers[0], laser_stats) == [linewidth_exp_closed(lasers[0], s) for s in laser_stats]
 
 
 # -- classic formulas ----------------------------------------------------------

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import maserline.cli
 from maserline import (
     DiscreteTau,
     ExponentialTau,
@@ -19,6 +20,7 @@ from maserline import (
     VacuumStateError,
     auto_truncation,
     build_sideband_generator,
+    build_uniform_lindblad,
     initial_sideband,
     linewidth_components,
     linewidth_from_slope,
@@ -29,7 +31,7 @@ from maserline import (
 )
 from maserline.linewidth import jump_operator_matrices
 from oracle import DenseLindblad
-from maserline.steady import HARD_LIMIT, TAIL_TOL, recurrence_ratios
+from maserline.steady import HARD_LIMIT, TAIL_TOL, recurrence_ratios, search_rows, search_width, steady_states
 
 
 def local_maxima(p):
@@ -374,6 +376,97 @@ def test_search_gives_the_bits_of_the_whole_truncation_on_a_sample():
         assert searched.tail_mass_bound == tail_mass_bound, params
         ratios = recurrence_ratios(params, searched.N)
         assert np.all(ratios[searched.N // 4 :] < 1.0), params
+
+
+def _stacked_samples():
+    """Seeded blocks of every kind the row axis serves, each a list of
+    records, and the N of the given-truncation blocks (None: the search)."""
+    rng = np.random.default_rng(26)
+    blocks = []
+    for n_th in (0.0, 0.01):
+        gs = list(np.sort(rng.uniform(0.05, 4.0, 25)) * math.pi / math.sqrt(50.0))
+        # g tau sqrt(k) = pi: a trapping state at n = k, exact at n_th = 0
+        gs[::6] = [math.pi / math.sqrt(k) for k in (4, 9, 25, 49, 100)]
+        blocks.append(([MaserParams(1.0, n_th, 50.0, g, FixedTau(1.0)) for g in gs], None))
+    thetas = rng.uniform(0.1, 4.0, 9) * math.pi
+    blocks.append(([MaserParams(1.0, 0.01, 40.0, t / math.sqrt(40.0), THREE_NODES) for t in thetas], None))
+    theta_bars = rng.uniform(0.2, 3.0, 12)
+    blocks.append(([MaserParams(1.0, 0.0, (tb / 0.3) ** 2, 0.3, ExponentialTau(1.0)) for tb in theta_bars], None))
+    n_th = 10.0 ** rng.uniform(-3.0, -1.0)
+    rates = rng.uniform(1.0, 200.0, 6)
+    blocks.append(([MaserParams(1.0, n_th, r, 0.3, ExponentialTau(1.0)) for r in rates], 300))
+    return blocks
+
+
+def _assert_statistics_bits(stats, records, N=None, averages=None):
+    assert len(stats) == len(records)
+    for row_stats, record in zip(stats, records):
+        one = steady_state(record, N, averages)
+        assert np.array_equal(row_stats.p, one.p), record
+        assert row_stats.N == one.N and row_stats.tail_mass_bound == one.tail_mass_bound, record
+
+
+def test_stacked_statistics_are_the_bits_of_each_record():
+    """A block searched or solved with a row axis gives every row the p
+    bits, N and tail bound of its one-record call: fixed-tau rows in g with
+    trapping zeros, three-node rows in g, closed-form rows in r, and the
+    Laguerre families' rows in r on a given truncation."""
+    trapped = 0
+    for records, N in _stacked_samples():
+        if N is None:
+            stats, family = search_rows(records)
+            assert family.rows in (None, len(records))
+        else:
+            stats = steady_states(records, N)
+        _assert_statistics_bits(stats, records, N)
+        trapped += sum(row_stats.on_support().N < row_stats.N for row_stats in stats)
+    assert trapped >= 5
+    records = _stacked_samples()[-1][0]
+    for orders in ((1, 0), (7, 6)):
+        family = build_uniform_lindblad(records[0], orders)
+        _assert_statistics_bits(steady_states(records, 250, family), records, 250, family)
+
+
+def test_stacked_search_falls_back_to_each_record_on_its_own(recurrence_calls):
+    """A row whose first candidate is rejected runs its own search, which
+    doubles it; a record at r = 0 or with a first candidate beyond one
+    chunk is searched on its own, and the scan's runs keep the row order."""
+    # below threshold at n_th = 1: link ratios near (1 + pump)/2, so a pump
+    # of 0.99 leaves a tail too long for 200 levels, and one of 0.01 does not
+    fast, slow = (MaserParams(1.0, 1.0, r, 0.01, FixedTau(1.0)) for r in (100.0, 9900.0))
+    assert search_width(fast) == search_width(slow) == 201
+    stats, _ = search_rows([fast, slow, fast])
+    assert [s.N for s in stats] == [200, stats[1].N, 200] and stats[1].N >= 400
+    _assert_statistics_bits(stats, [fast, slow, fast])
+    assert recurrence_calls[:2] == [201, 201] and 401 in recurrence_calls
+    maser = MaserParams(1.0, 0.01, 50.0, 2.5 * math.pi / math.sqrt(50.0), FixedTau(1.0))
+    thermal = MaserParams(1.0, 0.5, 0.0, 1.0, FixedTau(1.0))
+    wide = MaserParams(1.0, 0.01, 1000.0, 2.5 * math.pi / math.sqrt(1000.0), FixedTau(1.0))
+    assert search_width(thermal) is None and search_width(wide) is None
+    with pytest.raises(ValueError, match="one first candidate"):
+        search_rows([maser, thermal])
+    records = [maser, thermal, slow, wide, maser, maser]
+    rows = list(maserline.cli._row_statistics(records, None))
+    assert [i for i, _, _ in rows] == list(range(6))
+    assert [family is None for *_, family in rows] == [False, True, False, True, False, False]
+    assert rows[4][2] is rows[5][2]  # the last two rows form one stack
+    _assert_statistics_bits([stats for _, stats, _ in rows], records)
+
+
+def test_stacked_statistics_refuse_mixed_records(maser_params, laser_params):
+    """A block's records must share kappa, n_th and the distribution, and
+    differ in g only across the rows of a family with a row axis."""
+    rows = [maser_params(theta) for theta in (0.5, 2.5)]
+    with pytest.raises(ValueError, match="n_th"):
+        steady_states([rows[0], maser_params(0.5, n_th=0.1)], 200)
+    with pytest.raises(ValueError, match="kappa"):
+        steady_states([rows[0], maser_params(0.5, kappa=2.0)], 200)
+    with pytest.raises(ValueError, match="tau_dist"):
+        steady_states([laser_params(2.0), MaserParams(1.0, 0.0, 44.0, 0.3, FixedTau(1.0))], 200)
+    with pytest.raises(ValueError, match="differ in g"):
+        steady_states(rows, 200, TrigAverages.for_params(rows[0]))
+    with pytest.raises(ValueError, match="2 rows cannot serve 3 records"):
+        steady_states(rows + rows[:1], 200, TrigAverages.for_params(rows))
 
 
 def test_steady_state_refuses_negative_recurrence_ratios():

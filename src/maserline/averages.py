@@ -159,10 +159,12 @@ class TrigAverages:
 
     A node list may carry a leading row axis (:meth:`stack`): ``gtaus`` of
     shape (rows, K) with one shared ``weights`` (K,), one record per row
-    that differs from the others in g only.  Every average then has that
+    that differs from the others in g.  Every average then has that
     leading axis, ``(rows,) + x.shape``, and each row holds the bits of its
     record's own family; without a row axis the shape is ``x.shape``.  The
-    closed form and the Laguerre sums have no row axis.
+    closed form and the Laguerre sums have no row axis: they serve records
+    that share g, whose rates the builders take as a column
+    (:func:`maserline.model.block_rates`).
     """
 
     def __init__(self, *, gtaus=None, weights=None, g_bar: float | None = None):

@@ -243,7 +243,8 @@ def _recurrence(params, N: int, settled: int, averages: TrigAverages | None):
                 chunk = np.broadcast_to(chunk, rows + chunk.shape[-1:])
             log_chunk = np.log(chunk)
             # continue the running sum: the bits of one cumsum from level 0
-            log_chunk[..., :1] += log_chunks[-1][..., -1:]
+            # (.T[0]: the first link, of every row when there is a row axis)
+            log_chunk.T[0] += log_chunks[-1].T[-1]
             log_chunk.cumsum(axis=-1, out=log_chunk)
             top = float(log_chunk.max())  # nan once any running sum is
             if math.isnan(top):

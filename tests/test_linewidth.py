@@ -493,8 +493,8 @@ def test_blocks_in_rate_are_the_one_row_results(maser_params, laser_params):
                       for p, s in zip(rows, stats)]
     lasers = [laser_params(theta_bar) for theta_bar in (0.9, 1.7, 2.6, 2.6)]
     laser_stats = [steady_state(p, 200) for p in lasers]
-    assert linewidth_exp_closed(lasers, laser_stats) == [linewidth_exp_closed(p, s) for p, s in zip(lasers, laser_stats)]
-    assert linewidth_exp_scully(lasers, laser_stats) == [linewidth_exp_scully(p, s) for p, s in zip(lasers, laser_stats)]
+    for route in (linewidth_exp_closed, linewidth_exp_scully):
+        assert route(lasers, laser_stats) == [route(p, s) for p, s in zip(lasers, laser_stats)]
     for orders in ((1, 0), (7, 6)):
         family = build_uniform_lindblad(lasers[0], orders)
         assert uniform_linewidth(lasers, family, 200) == [uniform_linewidth(p, family, 200) for p in lasers]

@@ -39,6 +39,7 @@ from .averages import TrigAverages
 from .errors import ConfigError, MaserlineError
 from .linewidth import (
     _block_rows,
+    _weighted_levels,
     linewidth_components,
     linewidth_exp_closed,
     linewidth_exp_scully,
@@ -58,7 +59,14 @@ from .regression import (
     spectral_decomposition,
     spectrum_and_fwhm,
 )
-from .steady import require_excitation, search_rows, search_width, steady_state, steady_states
+from .steady import (
+    require_excitation,
+    search_rows,
+    search_start,
+    search_width,
+    steady_state,
+    steady_states,
+)
 from .uniform import build_uniform_lindblad, uniform_linewidth
 
 THRESHOLD_THETA_BAR = 1.0 / math.sqrt(2.0)
@@ -244,27 +252,32 @@ def _row_statistics(records: list[MaserParams], N: int | None):
     at most ``_block_rows(width)`` records, and ``family`` is their family
     with its row axis.  Any other record runs ``steady_state`` on its own,
     with ``family`` None, when its turn comes: so its full statistics are
-    not held beside those of other records.
+    not held beside those of other records.  Each record's
+    :func:`search_start` is computed once, for its width and its search.
     """
-    widths = [N + 1 if N is not None else search_width(params) for params in records]
-    start = 0
-    while start < len(records):
-        width = widths[start]
-        if width is None:
-            yield start, steady_state(records[start], N), None
-            start += 1
+    if N is None:
+        firsts = [search_start(params) for params in records]
+        widths = [search_width(params, first) for params, first in zip(records, firsts)]
+    else:
+        widths = [N + 1] * len(records)
+    i = 0
+    while i < len(records):
+        width = widths[i]
+        if width is None:  # only a search has rows of no width
+            yield i, steady_state(records[i], start=firsts[i]), None
+            i += 1
             continue
-        stop = start + 1
-        while stop < len(records) and widths[stop] == width and stop - start < _block_rows(width):
+        stop = i + 1
+        while stop < len(records) and widths[stop] == width and stop - i < _block_rows(width):
             stop += 1
-        run = records[start:stop]
+        run = records[i:stop]
         if N is None:
             stats, family = search_rows(run)
         else:
             family = TrigAverages.for_params(run)
             stats = steady_states(run, N, family)
-        yield from zip(range(start, stop), stats, itertools.repeat(family))
-        start = stop
+        yield from zip(range(i, stop), stats, itertools.repeat(family))
+        i = stop
 
 
 def _fill_rows(rows: list[dict], records: list[MaserParams], N: int | None, fill_block, on_support=False):
@@ -313,7 +326,8 @@ def _scan_theta_rows(cfg: dict, thetas_over_pi) -> list[dict]:
             g_tau = float(cfg["g_tau"])
         records.append(_params_from_config(cfg, g_tau=g_tau))
         rows.append({"theta": theta, "g_tau": g_tau, "status": "ok"})
-    # every quantity of the row is exact on the levels up to the last p_n != 0
+    # every quantity of the row is exact on the levels up to the last p_n != 0;
+    # its weights and generator are then evaluated on the weighted levels only
     _fill_rows(rows, records, cfg["trunc"], _scan_theta_block, on_support=True)
     return rows
 
@@ -324,7 +338,9 @@ def _scan_theta_block(block: list[tuple]) -> None:
     block's records, each row reduced on its own slice.  The records
     differ in g, so the builders take a family with one row per record:
     the family of the stack the rows were searched in when the block is
-    that whole stack, else the records' node lists stacked anew."""
+    that whole stack, else the records' node lists stacked anew.  The
+    builders evaluate the block's weighted levels only, and every sum
+    keeps its length and order (:func:`linewidth_components`)."""
     rows, records, stats, families = zip(*block)
     N = stats[0].N
     if len(block) == 1:
@@ -338,7 +354,8 @@ def _scan_theta_block(block: list[tuple]) -> None:
     columns = (
         linewidth_components(records, stats, averages),
         linewidth_mcgowan(records, stats, averages),
-        linewidth_from_slope(build_sideband_generator(records, N, averages), initial_sideband(stats)),
+        linewidth_from_slope(build_sideband_generator(records, N, averages, _weighted_levels(stats)),
+                             initial_sideband(stats)),
     )
     if len(block) == 1:
         columns = [[value] for value in columns]

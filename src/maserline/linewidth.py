@@ -38,7 +38,7 @@ import numpy as np
 
 from .averages import TrigAverages, refine_until_stable
 from .model import ExponentialTau, FixedTau, MaserParams, block_rates
-from .steady import PhotonStatistics, require_excitation
+from .steady import PhotonStatistics, _level_range, _on_levels, require_excitation
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,7 @@ def pump_weights(
     params: MaserParams,
     n_max: int,
     averages: TrigAverages | None = None,
+    levels: tuple[int, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fock-resolved pump weights (cosine part, sine part) for n = 0..n_max.
 
@@ -72,27 +73,34 @@ def pump_weights(
     (:func:`maserline.model.block_rates`), gives arrays (rows, n_max + 1):
     row i at the rates of record i (or of the one record) and the Rabi
     angles of the family's row i.
+
+    ``levels`` = (lo, hi) evaluates the weights of the levels lo..hi-1
+    only: the arrays keep their shape, with exact zeros at every other
+    level, and each level in the range has the bits of the whole call.
     """
     if averages is None:
         averages = TrigAverages.for_params(params)
     kappa, _, r = block_rates(params, averages)
     n_ex = r / kappa
-    n = np.arange(n_max + 1, dtype=float)
+    levels = _level_range(levels, n_max + 1)
+    n = np.arange(*levels, dtype=float)
     cos_sq, sin_sq = averages.squared_differences(n)
-    return n_ex * n * cos_sq, n_ex * sin_sq
+    return (_on_levels(np.multiply, n_ex * n, cos_sq, levels, n_max + 1),
+            _on_levels(np.multiply, n_ex, sin_sq, levels, n_max + 1))
 
 
 def mcgowan_weights(
     params: MaserParams,
     n_max: int,
     averages: TrigAverages | None = None,
+    levels: tuple[int, int] | None = None,
 ) -> np.ndarray:
     """Fock-resolved weight of the multi-eigenvalue approximation.
 
-    Normalized like :func:`pump_weights`, and with its row axis:
-    D <n> / kappa = sum_n p_n w[n].  Unlike the exact route the damping
-    terms sit inside the weight here; they are evaluated with the
-    rationalized square-root differences
+    Normalized like :func:`pump_weights`, and with its row axis and its
+    ``levels`` (zeros outside them): D <n> / kappa = sum_n p_n w[n].
+    Unlike the exact route the damping terms sit inside the weight here;
+    they are evaluated with the rationalized square-root differences
 
         n - 1/2 - sqrt(n(n-1)) = 1/4 / (n - 1/2 + sqrt(n(n-1))),
         n + 1/2 - sqrt(n(n+1)) = 1/4 / (n + 1/2 + sqrt(n(n+1))).
@@ -100,13 +108,14 @@ def mcgowan_weights(
     if averages is None:
         averages = TrigAverages.for_params(params)
     kappa, n_th, r = block_rates(params, averages)
-    n = np.arange(n_max + 1, dtype=float)
+    levels = _level_range(levels, n_max + 1)
+    n = np.arange(*levels, dtype=float)
     s = np.sqrt(n)
     s1 = np.sqrt(n + 1.0)
     pump = r / kappa * averages.one_minus_cos_diff(1.0 / (s + s1))
     down = 0.25 / (n - 0.5 + np.sqrt(n * np.maximum(n - 1.0, 0.0)))
     up = 0.25 / (n + 0.5 + s * s1)
-    return 2.0 * n * (pump + (1.0 + n_th) * down + n_th * up)
+    return _on_levels(np.multiply, 2.0 * n, pump + (1.0 + n_th) * down + n_th * up, levels, n_max + 1)
 
 
 def _by_row(reduce, stats, *weights):
@@ -132,6 +141,15 @@ def _basis_size(stats) -> int:
     return N
 
 
+def _weighted_levels(stats) -> tuple[int, int]:
+    """The weighted levels of one statistics, or the smallest range that
+    holds those of each of a block's statistics."""
+    if isinstance(stats, PhotonStatistics):
+        return stats.weighted_levels
+    ranges = [row_stats.weighted_levels for row_stats in stats]
+    return min(lo for lo, _ in ranges), max(hi for _, hi in ranges)
+
+
 def _first(params) -> MaserParams:
     """The one record, or the first record of a block."""
     return params if isinstance(params, MaserParams) else params[0]
@@ -153,8 +171,14 @@ def linewidth_components(
     (:meth:`TrigAverages.stack`), or with ``params`` the block's records
     (:func:`maserline.model.block_rates`).  The weights are built once for
     the block, and the result is the list of the rows' breakdowns.
+
+    The weights are evaluated on the weighted levels of the statistics
+    (:attr:`PhotonStatistics.weighted_levels`, for a block the range that
+    holds every row's) and are zero elsewhere; each sum still runs over
+    all N + 1 levels in their order, so it keeps the bits of weights
+    evaluated on every level.
     """
-    cos_w, sin_w = pump_weights(params, _basis_size(stats), averages)
+    cos_w, sin_w = pump_weights(params, _basis_size(stats), averages, _weighted_levels(stats))
     first = _first(params)  # pump_weights has checked that the records share kappa and n_th
     kappa, n_th = first.kappa, first.n_th
 
@@ -180,9 +204,9 @@ def linewidth_mcgowan(
     averages: TrigAverages | None = None,
 ) -> float:
     """Multi-eigenvalue approximation, tau-averaged, traced against stats;
-    a block gives the list of its rows' values (see
-    :func:`linewidth_components`)."""
-    w = mcgowan_weights(params, _basis_size(stats), averages)
+    a block gives the list of its rows' values, and the weight is evaluated
+    on the weighted levels (see :func:`linewidth_components`)."""
+    w = mcgowan_weights(params, _basis_size(stats), averages, _weighted_levels(stats))
     kappa = _first(params).kappa
 
     def traced(row_stats, mean, w_row):

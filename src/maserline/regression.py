@@ -58,7 +58,7 @@ import numpy as np
 from .averages import TrigAverages
 from .errors import SpectralError, VacuumStateError
 from .model import MaserParams, block_rates
-from .steady import PhotonStatistics
+from .steady import PhotonStatistics, _level_range, _on_levels
 
 SUM_RULE_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
@@ -154,37 +154,52 @@ def build_sideband_generator(
     params: MaserParams,
     N: int,
     averages: TrigAverages | None = None,
+    levels: tuple[int, int] | None = None,
 ) -> SidebandGenerator:
     """Generator of the coherence sector on v_0..v_{N-1} (N+1 Fock levels).
 
     A family with a row axis, or a block's records that differ in r, gives
     a stacked generator, ``sub`` and ``diag`` of shape (rows, N): row i at
     the rates of record i (or of the one record) and the Rabi angles of the
-    family's row i, its last-row correction included."""
+    family's row i, its last-row correction included.
+
+    ``levels`` = (lo, hi), a range of the Fock levels 0..N, builds only the
+    components whose row reads a level in it: component n reads v_{n-1},
+    v_n and v_{n+1}, that is p_n, p_{n+1} and p_{n+2} of v0 = a rho, so
+    the components [lo - 2, hi) within [0, N).  The arrays keep their
+    shape, with exact zeros in every other component, and each built
+    component has the bits of the whole build; the last-row correction is
+    added when the range reaches component N - 1."""
     if N < 2:
         raise ValueError(f"the sideband sector needs at least 2 components, got {N}")
     if averages is None:
         averages = TrigAverages.for_params(params)
     kappa, n_th, r = block_rates(params, averages)
-    n = np.arange(N, dtype=float)
+    lo, hi = _level_range(levels, N + 1)
+    components = max(lo - 2, 0), min(hi, N)  # whose rows read those levels
+    n = np.arange(*components, dtype=float)
     s = np.sqrt(n)
     s1 = np.sqrt(n + 1.0)
     s2 = np.sqrt(n + 2.0)
-    sub = kappa * n_th * s * s1 + r * averages.sin_sin(s, s1)
-    diag = (
+    sub = _on_levels(np.add, kappa * n_th * s * s1, r * averages.sin_sin(s, s1), components, N)
+    diag = _on_levels(
+        np.add,
         -kappa * (1.0 + n_th) * (n + 0.5)
         - kappa * n_th * (n + 1.5)
-        - 0.5 * r * (averages.anticommutator_norm(s1) + averages.anticommutator_norm(s2))
-        + r * averages.cos_cos(s1, s2)
+        - 0.5 * r * (averages.anticommutator_norm(s1) + averages.anticommutator_norm(s2)),
+        r * averages.cos_cos(s1, s2),
+        components,
+        N,
     )
-    sup = kappa * (1.0 + n_th) * s1 * s2
-    sup[-1] = 0.0
-    # truncated-operator convention: the anticommutator halves living on
-    # level N+1 are absent from the literal matrices
-    # (a column of rows, as the rates are)
-    top = np.sqrt(N + 1.0)
-    edge = np.asarray(averages.sin_sin(top, top))[..., None]
-    diag[..., -1:] += kappa * n_th * (N + 1.0) / 2.0 + 0.5 * r * edge
+    sup = _on_levels(np.multiply, kappa * (1.0 + n_th) * s1, s2, components, N)
+    if components[1] == N:
+        sup[-1] = 0.0
+        # truncated-operator convention: the anticommutator halves living on
+        # level N+1 are absent from the literal matrices
+        # (a column of rows, as the rates are)
+        top = np.sqrt(N + 1.0)
+        edge = np.asarray(averages.sin_sin(top, top))[..., None]
+        diag[..., -1:] += kappa * n_th * (N + 1.0) / 2.0 + 0.5 * r * edge
     return SidebandGenerator(sub, diag, sup, N)
 
 

@@ -34,6 +34,9 @@ from .model import ExponentialTau, MaserParams, block_rates
 # Adequacy: the top retained level must be negligible against the peak,
 # unless it is an exact trapping-state zero.
 TAIL_TOL = 1e-12
+# Weighted levels: p_n below 10^-WEIGHT_DECADES of the peak moves a sum of
+# p_n against the linewidth weights by far less than one rounding
+WEIGHT_DECADES = 40
 NORMALIZATION_TOL = 1e-12
 # largest basis the truncation search may choose
 HARD_LIMIT = 20000
@@ -46,7 +49,13 @@ FIRST_CHUNK = 256
 
 @dataclass(frozen=True, eq=False)
 class PhotonStatistics:
-    """Normalized steady-state diagonal p_0..p_N on a truncated Fock basis."""
+    """Normalized steady-state diagonal p_0..p_N on a truncated Fock basis.
+
+    p always holds every level 0..N.  :attr:`weighted_levels` names the
+    levels that carry weight in a sum of p_n against per-level weights:
+    the builders of those weights may evaluate them there only, with the
+    sums still taken over all N + 1 levels.
+    """
 
     p: np.ndarray
     N: int
@@ -81,6 +90,20 @@ class PhotonStatistics:
         """Mean photon number, computed on first read (p is fixed)."""
         return float(np.arange(self.p.size) @ self.p)
 
+    @functools.cached_property
+    def weighted_levels(self) -> tuple[int, int]:
+        """The levels [lo, hi) with p_n >= 10^-WEIGHT_DECADES of the peak,
+        widened by one level on each side, computed on first read.
+
+        The linewidth weights are finite and at most polynomial in n, so
+        the levels outside move such a sum by about 1e-30 of its largest
+        term, far below one rounding: a sum over all N + 1 levels, in their
+        order, keeps its bits when the weights outside are zeros.
+        """
+        inside = self.p >= 10.0**-WEIGHT_DECADES * self.p.max()
+        lo, hi = int(inside.argmax()), self.N + 1 - int(inside[::-1].argmax())
+        return max(lo - 1, 0), min(hi + 1, self.N + 1)
+
     @property
     def variance(self) -> float:
         n = np.arange(self.p.size)
@@ -107,6 +130,32 @@ class PhotonStatistics:
         if n_cut >= self.N:
             return self
         return PhotonStatistics(self.p[: n_cut + 1].copy(), n_cut, self.tail_mass_bound)
+
+
+def _level_range(levels: tuple[int, int] | None, size: int) -> tuple[int, int]:
+    """The levels [lo, hi) of ``levels`` among ``size`` levels, checked; all
+    of them when ``levels`` is None.  A range holds at least two levels
+    (or all): numpy's einsum contracts a node list on a single level by
+    another path, whose bits differ."""
+    if levels is None:
+        return 0, size
+    lo, hi = levels
+    if not (0 <= lo < hi <= size and hi - lo >= min(2, size)):
+        raise ValueError(f"level range [{lo}, {hi}) must hold two or more of the levels [0, {size})")
+    return lo, hi
+
+
+def _on_levels(ufunc, a, b, levels: tuple[int, int], size: int) -> np.ndarray:
+    """``ufunc(a, b)``, the last step of a builder on the ``levels``
+    [lo, hi), written into its place in a zero-filled array of ``size``
+    levels (the leading axes of the operands kept), with no second array
+    of the result's size; the plain ``ufunc(a, b)`` on every level."""
+    lo, hi = levels
+    if hi - lo == size:
+        return ufunc(a, b)
+    out = np.zeros(np.broadcast(a, b).shape[:-1] + (size,))
+    ufunc(a, b, out=out[..., lo:hi])
+    return out
 
 
 def recurrence_ratios(
@@ -141,6 +190,8 @@ def steady_state(
     params: MaserParams,
     N: int | None = None,
     averages: TrigAverages | None = None,
+    *,
+    start: tuple[int, int] | None = None,
 ) -> PhotonStatistics:
     """Steady state for any supported interaction-time distribution.
 
@@ -150,13 +201,14 @@ def steady_state(
 
     With ``N``, the search's evaluator takes links 0..N whole, in one
     :func:`recurrence_ratios` call.  Without ``N`` this is
-    :func:`auto_truncation`, whose accepted candidate already holds p.
-    With ``averages`` and no ``N``, the truncation is the one that search
-    picks with the default averages, and the recurrence is evaluated again
-    with ``averages`` on it.
+    ``auto_truncation(params, start)``, whose accepted candidate already
+    holds p (``start``: the record's :func:`search_start`, when the caller
+    holds it).  With ``averages`` and no ``N``, the truncation is the one
+    that search picks with the default averages, and the recurrence is
+    evaluated again with ``averages`` on it.
     """
     if N is None:
-        stats = auto_truncation(params)
+        stats = auto_truncation(params, start)
         if averages is None:
             return stats
         N = stats.N
@@ -262,7 +314,7 @@ def _recurrence(params, N: int, settled: int, averages: TrigAverages | None):
     return np.concatenate(ratio_chunks, axis=-1), p
 
 
-def _search_start(params: MaserParams) -> tuple[int, int]:
+def search_start(params: MaserParams) -> tuple[int, int]:
     """The first candidate of the truncation search at r > 0 or n_th > 0,
     and the level ``settled`` from which every link ratio contracts.
 
@@ -294,8 +346,11 @@ def _search_start(params: MaserParams) -> tuple[int, int]:
 def _adequate(ratios: np.ndarray, p: np.ndarray, candidate: int):
     """Whether a candidate's recurrence contracts on [N/4, N) and its tail
     is adequately small: one bool, or one per row of a row axis."""
-    # p is normalized, so its maximum is positive and p_N = 0 passes too
     contracts = (ratios[..., candidate // 4 : candidate] < 1.0).all(axis=-1)
+    # p is normalized, so its maximum is positive and p_N = 0 passes; one
+    # row with p_N = 0 (a search stopped below its edge) skips the maximum
+    if p.ndim == 1 and p[-1] == 0.0:
+        return contracts
     return contracts & (p[..., -1] <= TAIL_TOL * p.max(axis=-1))
 
 
@@ -305,11 +360,12 @@ def _candidate_statistics(ratios: np.ndarray, p: np.ndarray, candidate: int) -> 
     return PhotonStatistics(p, candidate, _tail_bound(p, edge))
 
 
-def auto_truncation(params: MaserParams) -> PhotonStatistics:
+def auto_truncation(params: MaserParams, start: tuple[int, int] | None = None) -> PhotonStatistics:
     """Statistics on a truncation N with the recurrence contracting on
     N/4 <= n < N and an adequately small tail, from default averages.
 
-    Candidates start at :func:`_search_start` and double on failure up to
+    Candidates start at :func:`search_start` (``start``, when the caller
+    already holds it) and double on failure up to
     :data:`HARD_LIMIT` levels.  Each one runs the evaluator of
     ``steady_state(params, N)`` from level 0, told the level past which
     every link ratio contracts by the bound the candidate rule rests on.
@@ -321,7 +377,7 @@ def auto_truncation(params: MaserParams) -> PhotonStatistics:
     """
     if params.r == 0.0 and params.n_th == 0.0:
         return PhotonStatistics(np.array([1.0, 0.0]), 1, 0.0)
-    candidate, settled = _search_start(params)
+    candidate, settled = start or search_start(params)
     averages = TrigAverages.for_params(params)
     while True:
         if candidate > HARD_LIMIT:
@@ -334,14 +390,15 @@ def auto_truncation(params: MaserParams) -> PhotonStatistics:
         candidate *= 2
 
 
-def search_width(params: MaserParams) -> int | None:
+def search_width(params: MaserParams, start: tuple[int, int] | None = None) -> int | None:
     """The levels of the first candidate of the search of ``params`` when
     one chunk takes them whole, else None: such records form the blocks of
     :func:`search_rows`, and any other is searched on its own.  A record at
-    r = 0 is searched on its own too."""
+    r = 0 is searched on its own too.  ``start`` is the record's
+    :func:`search_start`, when the caller already holds it."""
     if params.r == 0.0:
         return None
-    candidate, settled = _search_start(params)
+    candidate, settled = start or search_start(params)
     return candidate + 1 if candidate + 1 <= max(FIRST_CHUNK, settled) else None
 
 

@@ -141,8 +141,8 @@ def test_scan_theta_blocks_of_two_rows_give_the_same_bytes(tmp_path, monkeypatch
     blocks = []
     build = maserline.cli.build_sideband_generator
 
-    def recorded(params, N, averages=None):
-        gen = build(params, N, averages)
+    def recorded(params, N, averages=None, levels=None):
+        gen = build(params, N, averages, levels)
         blocks.append(gen.diag.shape[0] if gen.diag.ndim == 2 else 1)
         return gen
 
@@ -545,6 +545,24 @@ def test_fock_resolved_cells_are_the_primitives(tmp_path):
         assert [row["p_n"] for row in block] == stats.p.tolist()
         assert [row["w_main"] for row in block] == (cos_w + sin_w).tolist()
         assert [row["w_mcgowan"] for row in block] == mcgowan_weights(params, 30).tolist()
+
+
+def test_fock_resolved_prints_weights_on_every_level(tmp_path):
+    """fock-resolved prints the weights of every level 0..N, also where p_n
+    is below 1e-40 of the peak (outside the weighted levels, which the
+    linewidth routes evaluate alone): there w_main is nonzero too."""
+    argv = ["fock-resolved", "--rate", "50", "--nth", "0.01", "--g-tau", "0.3"]
+    code, out = run(tmp_path, argv)
+    assert code == 0
+    rows = read_csv(out)[2]
+    params = MaserParams(1.0, 0.01, 50.0, 0.3, FixedTau(1.0))
+    stats = steady_state(params)
+    cos_w, sin_w = pump_weights(params, stats.N)
+    assert [int(row["n"]) for row in rows] == list(range(stats.N + 1))
+    assert [row["w_main"] for row in rows] == [f"{w:.17g}" for w in cos_w + sin_w]
+    faint = [row for row in rows if float(row["p_n"]) < 1e-40 * stats.p.max()]
+    assert stats.weighted_levels[1] < stats.N + 1 and len(faint) > 50
+    assert all(float(row["w_main"]) != 0.0 for row in faint)
 
 
 def test_spectrum_sections_and_header(tmp_path):

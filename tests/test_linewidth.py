@@ -31,8 +31,17 @@ from maserline import (
     steady_state,
     uniform_linewidth,
 )
-from maserline.linewidth import _Band, _lowering_operator, jump_operator_matrices, mcgowan_weights, pump_weights
-from maserline.steady import steady_states
+import maserline.linewidth
+from maserline.linewidth import (
+    _Band,
+    _basis_size,
+    _lowering_operator,
+    jump_operator_matrices,
+    mcgowan_weights,
+    pump_weights,
+)
+from maserline.model import block_rates
+from maserline.steady import search_rows, steady_states
 from oracle import DenseLindblad, to_dense
 
 
@@ -500,6 +509,151 @@ def test_blocks_in_rate_are_the_one_row_results(maser_params, laser_params):
         assert uniform_linewidth(lasers, family, 200) == [uniform_linewidth(p, family, 200) for p in lasers]
     # one record for every row of a block: its rates and g serve them all
     assert linewidth_exp_closed(lasers[0], laser_stats) == [linewidth_exp_closed(lasers[0], s) for s in laser_stats]
+
+
+# -- the weighted levels: builders on a level range ----------------------------
+
+# the crosscheck's three-node interaction-time list, mean tau 1
+THREE_NODES = DiscreteTau([0.7, 1.0, 1.3], [0.3, 0.4, 0.3])
+
+
+def _weighted_level_records(count):
+    """Seeded records: fixed tau or THREE_NODES, r/kappa log-uniform in
+    [10, 5000], n_th in {0, 0.01, 0.1, 1} (trapping zeros at n_th = 0),
+    theta in [0.1, 4] pi."""
+    rng = np.random.default_rng(27)
+    records = []
+    for _ in range(count):
+        r = 10.0 ** rng.uniform(1.0, math.log10(5000.0))
+        n_th = float(rng.choice([0.0, 0.01, 0.1, 1.0]))
+        theta = rng.uniform(0.1, 4.0) * math.pi
+        dist = FixedTau(1.0) if rng.random() < 0.5 else THREE_NODES
+        records.append(MaserParams(1.0, n_th, r, theta / math.sqrt(r), dist))
+    return records
+
+
+def _routes(params, stats, averages=None):
+    """The exact breakdown, McGowan, the slope with the generator on the
+    weighted levels (as scan-theta builds it), and that generator's G v0."""
+    gen = build_sideband_generator(params, _basis_size(stats), averages, maserline.linewidth._weighted_levels(stats))
+    v0 = initial_sideband(stats)
+    return (linewidth_components(params, stats, averages), linewidth_mcgowan(params, stats, averages),
+            linewidth_from_slope(gen, v0), gen.apply(v0))
+
+
+def _assert_bits_of_the_whole_range(monkeypatch, params, stats, averages=None):
+    N = _basis_size(stats)
+    lo, hi = maserline.linewidth._weighted_levels(stats)
+    exact, mcgowan, slope, g_v0 = _routes(params, stats, averages)
+    with monkeypatch.context() as whole:
+        whole.setattr(maserline.linewidth, "_weighted_levels", lambda stats: (0, N + 1))
+        exact_whole, mcgowan_whole, slope_whole, g_v0_whole = _routes(params, stats, averages)
+    assert exact == exact_whole and mcgowan == mcgowan_whole and slope == slope_whole, params
+    # every component whose row reads a weighted level has the whole build's bits
+    built = slice(max(lo - 2, 0), min(hi, N))
+    assert np.array_equal(g_v0[..., built], g_v0_whole[..., built]), params
+
+
+def test_weighted_levels_give_the_bits_of_the_whole_range(monkeypatch):
+    """On a seeded sample, cut to the support and uncut, and on a stacked
+    r=50 block, the exact route, McGowan and the slope with weights and
+    generator built on the weighted levels give the bits of the same calls
+    built on every level: each sum keeps its length and order."""
+    narrowed = 0
+    for params in _weighted_level_records(300):
+        searched = steady_state(params)
+        for stats in {searched, searched.on_support()}:
+            if stats.mean == 0.0:
+                continue
+            lo, hi = stats.weighted_levels
+            narrowed += hi - lo < stats.N + 1
+            _assert_bits_of_the_whole_range(monkeypatch, params, stats)
+    assert narrowed > 400  # most statistics have levels outside their weighted range
+    records = [MaserParams(1.0, 0.01, 50.0, t * math.pi / math.sqrt(50.0), FixedTau(1.0))
+               for t in np.linspace(0.1, 4.0, 40)]
+    stats, family = search_rows(records)
+    assert {row_stats.N for row_stats in stats} == {200}
+    lo, hi = maserline.linewidth._weighted_levels(stats)
+    assert hi - lo < 201 and (lo, hi) == (min(s.weighted_levels[0] for s in stats),
+                                          max(s.weighted_levels[1] for s in stats))
+    _assert_bits_of_the_whole_range(monkeypatch, records, stats, family)
+
+
+def test_weighted_levels_hold_every_level_above_the_floor():
+    """weighted_levels is the levels with p_n >= 1e-40 of the peak, one
+    more on each side within [0, N]."""
+    p = np.zeros(41)
+    p[[3, 4, 10]] = [1e-41, 1.0, 2e-40]
+    assert PhotonStatistics.from_probabilities(p).weighted_levels == (3, 12)
+    p = np.zeros(11)
+    p[[0, 10]] = [1.0, 1e-40]
+    assert PhotonStatistics.from_probabilities(p).weighted_levels == (0, 11)
+
+
+def _whole_builds(params, N, averages):
+    """The weights and the generator arrays on every level, as the
+    builders formed them before they took a level range."""
+    averages = averages or TrigAverages.for_params(params)
+    kappa, n_th, r = block_rates(params, averages)
+    n = np.arange(N + 1, dtype=float)
+    cos_sq, sin_sq = averages.squared_differences(n)
+    cos_w, sin_w = r / kappa * n * cos_sq, r / kappa * sin_sq
+    s, s1 = np.sqrt(n), np.sqrt(n + 1.0)
+    pump = r / kappa * averages.one_minus_cos_diff(1.0 / (s + s1))
+    down = 0.25 / (n - 0.5 + np.sqrt(n * np.maximum(n - 1.0, 0.0)))
+    mcgowan = 2.0 * n * (pump + (1.0 + n_th) * down + n_th * (0.25 / (n + 0.5 + s * s1)))
+    n = n[:-1]
+    s, s1, s2 = np.sqrt(n), np.sqrt(n + 1.0), np.sqrt(n + 2.0)
+    sub = kappa * n_th * s * s1 + r * averages.sin_sin(s, s1)
+    diag = (-kappa * (1.0 + n_th) * (n + 0.5) - kappa * n_th * (n + 1.5)
+            - 0.5 * r * (averages.anticommutator_norm(s1) + averages.anticommutator_norm(s2))
+            + r * averages.cos_cos(s1, s2))
+    sup = kappa * (1.0 + n_th) * s1 * s2
+    sup[-1] = 0.0
+    top = np.sqrt(N + 1.0)
+    diag[..., -1:] += kappa * n_th * (N + 1.0) / 2.0 + 0.5 * r * np.asarray(averages.sin_sin(top, top))[..., None]
+    return cos_w, sin_w, mcgowan, sub, diag, sup
+
+
+def _builds(params, N, averages, levels=None):
+    gen = build_sideband_generator(params, N, averages, levels)
+    return (*pump_weights(params, N, averages, levels), mcgowan_weights(params, N, averages, levels),
+            gen.sub, gen.diag, gen.sup)
+
+
+@pytest.mark.parametrize("case", ["fixed", "three-nodes", "stacked", "rates", "exp", "uniform"])
+def test_builders_without_a_range_keep_their_arrays(case, maser_params, laser_params):
+    """Without a level range the builders return the arrays of every level
+    bit for bit; with one they keep that shape, hold those bits on the
+    range (the generator on the components whose rows read it) and exact
+    zeros elsewhere."""
+    N = 600
+    thetas = (0.4, 1.7, 2.9)
+    rows = [maser_params(t, r=200.0) for t in thetas]
+    params, averages = {
+        "fixed": (maser_params(2.5, r=1000.0), None),
+        "three-nodes": (dataclasses.replace(maser_params(1.3, r=200.0, n_th=0.1), tau_dist=THREE_NODES), None),
+        "stacked": (rows, TrigAverages.for_params(rows)),
+        "rates": ([laser_params(t) for t in thetas], None),
+        "exp": (laser_params(2.0, n_th=0.1), None),
+        "uniform": (laser_params(2.0), build_uniform_lindblad(laser_params(2.0), (3, 2))),
+    }[case]
+    whole = _builds(params, N, averages)
+    for built, expected in zip(whole, _whole_builds(params, N, averages)):
+        assert np.array_equal(built, expected)
+    for lo, hi in ((0, N + 1), (0, 40), (150, 152), (233, 420), (550, N + 1), (N - 1, N + 1)):
+        ranged = _builds(params, N, averages, (lo, hi))
+        components = slice(max(lo - 2, 0), min(hi, N))
+        for on_levels, levels, in_range in zip(ranged, whole, [slice(lo, hi)] * 3 + [components] * 3):
+            assert on_levels.shape == levels.shape
+            assert np.array_equal(on_levels[..., in_range], levels[..., in_range])
+            outside = np.ones(levels.shape[-1], dtype=bool)
+            outside[in_range] = False
+            assert not np.any(on_levels[..., outside])
+    for bad in ((-1, 10), (10, 10), (10, 11), (0, N + 2)):
+        for build in (pump_weights, mcgowan_weights, build_sideband_generator):
+            with pytest.raises(ValueError, match="level range"):
+                build(params, N, averages, bad)
 
 
 # -- classic formulas ----------------------------------------------------------

@@ -157,14 +157,14 @@ class TrigAverages:
     the jump operators use only the methods below, so a third family (the
     truncated Laguerre sums of :mod:`maserline.uniform`) overrides them.
 
-    A node list may carry a leading row axis (:meth:`stack`): ``gtaus`` of
-    shape (rows, K) with one shared ``weights`` (K,), one record per row
-    that differs from the others in g.  Every average then has that
-    leading axis, ``(rows,) + x.shape``, and each row holds the bits of its
-    record's own family; without a row axis the shape is ``x.shape``.  The
-    closed form and the Laguerre sums have no row axis: they serve records
-    that share g, whose rates the builders take as a column
-    (:func:`maserline.model.block_rates`).
+    A node list may carry a leading row axis (:meth:`for_params` of a
+    block's records): ``gtaus`` of shape (rows, K) with one shared
+    ``weights`` (K,), one record per row that differs from the others in g.
+    Every average then has that leading axis, ``(rows,) + x.shape``, and
+    each row holds the bits of its record's own family; without a row axis
+    the shape is ``x.shape``.  The closed form and the Laguerre sums have
+    no row axis: they serve records that share g, whose rates the builders
+    take as a column (:func:`maserline.model.block_rates`).
     """
 
     def __init__(self, *, gtaus=None, weights=None, g_bar: float | None = None):
@@ -194,12 +194,30 @@ class TrigAverages:
 
         A block's records (:func:`maserline.model.block_rates`) give the
         closed form of the first record, which the block's records share
-        when they share g, or else their node lists stacked (:meth:`stack`).
+        when they share g, or else one node list with a row axis: row i is
+        the Rabi angles of record i, with the bits of its own family, and
+        the weights are shared.  Records of different kinds of
+        distribution, node lists with different weights and a block with
+        ``n_nodes`` raise ``ValueError``.
         """
         if not isinstance(params, MaserParams):
-            if n_nodes is None and isinstance(params[0].tau_dist, ExponentialTau):
+            if n_nodes is not None:
+                raise ValueError(f"a block's records select no rule; n_nodes={n_nodes} must not be given")
+            dists = [record.tau_dist for record in params]
+            kind = type(dists[0])
+            if any(type(dist) is not kind for dist in dists):
+                raise ValueError("the records of a block must share tau_dist")
+            if kind is ExponentialTau:
                 return cls.for_params(params[0])
-            return cls.stack([cls.for_params(record, n_nodes) for record in params])
+            if kind is FixedTau:
+                taus, weights = np.array([[dist.tau] for dist in dists]), np.array([1.0])
+            else:
+                weights = dists[0].weights
+                if not all(np.array_equal(dist.weights, weights) for dist in dists[1:]):
+                    raise ValueError("the node lists of a block must share their weights")
+                taus = np.array([dist.taus for dist in dists])
+            # row i is g_i tau_ik, the products of record i's own family
+            return cls(gtaus=np.array([record.g for record in params])[:, None] * taus, weights=weights)
         dist = params.tau_dist
         if isinstance(dist, ExponentialTau):
             if n_nodes is None:
@@ -211,17 +229,6 @@ class TrigAverages:
             return cls(gtaus=np.array([params.g * dist.tau]), weights=np.array([1.0]))
         nodes = quadrature_nodes(dist, 1 if n_nodes is None else n_nodes)
         return cls(gtaus=params.g * nodes.taus, weights=nodes.weights)
-
-    @classmethod
-    def stack(cls, families) -> "TrigAverages":
-        """One family with a leading row axis: row i is the node list of
-        ``families[i]``.  The node lists must share their weights (records
-        that differ in g only), else ``ValueError``; the closed form has no
-        node list and raises ``ValueError`` too."""
-        gtaus, weights = zip(*[family.point_data for family in families])
-        if not all(np.array_equal(w, weights[0]) for w in weights[1:]):
-            raise ValueError("stacked node lists must share their weights")
-        return cls(gtaus=np.array(gtaus), weights=weights[0])
 
     @property
     def rows(self) -> int | None:

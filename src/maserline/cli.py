@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -62,7 +61,6 @@ from .regression import (
 from .steady import (
     require_excitation,
     search_rows,
-    search_start,
     search_width,
     steady_state,
     steady_states,
@@ -245,38 +243,27 @@ SCAN_THETA_COLUMNS = [
 
 
 def _row_statistics(records: list[MaserParams], N: int | None):
-    """``(i, stats, family)`` for each record i, in order.
+    """``(i, stats)`` for each record i, in order.
 
     A run of consecutive records whose evaluation one chunk takes whole (a
     given ``N``, or one :func:`search_width`) is evaluated as one stack of
-    at most ``_block_rows(width)`` records, and ``family`` is their family
-    with its row axis.  Any other record runs ``steady_state`` on its own,
-    with ``family`` None, when its turn comes: so its full statistics are
-    not held beside those of other records.  Each record's
-    :func:`search_start` is computed once, for its width and its search.
+    at most ``_block_rows(width)`` records.  Any other record runs
+    ``steady_state`` on its own when its turn comes: so its full
+    statistics are not held beside those of other records.
     """
-    if N is None:
-        firsts = [search_start(params) for params in records]
-        widths = [search_width(params, first) for params, first in zip(records, firsts)]
-    else:
-        widths = [N + 1] * len(records)
+    widths = [search_width(params) for params in records] if N is None else [N + 1] * len(records)
     i = 0
     while i < len(records):
         width = widths[i]
         if width is None:  # only a search has rows of no width
-            yield i, steady_state(records[i], start=firsts[i]), None
+            yield i, steady_state(records[i])
             i += 1
             continue
         stop = i + 1
         while stop < len(records) and widths[stop] == width and stop - i < _block_rows(width):
             stop += 1
         run = records[i:stop]
-        if N is None:
-            stats, family = search_rows(run)
-        else:
-            family = TrigAverages.for_params(run)
-            stats = steady_states(run, N, family)
-        yield from zip(range(i, stop), stats, itertools.repeat(family))
+        yield from zip(range(i, stop), search_rows(run) if N is None else steady_states(run, N))
         i = stop
 
 
@@ -285,11 +272,11 @@ def _fill_rows(rows: list[dict], records: list[MaserParams], N: int | None, fill
     (cut to their support with ``on_support``), and its status to vacuum
     where the mean is 0; call ``fill_block`` on each block of consecutive
     rows with an excitation that share one basis size N, at most
-    ``_block_rows(N + 1)`` of them, as ``(row, params, stats, family)``
-    entries.  A block is filled as soon as it is complete, so only one
-    block's statistics are held at a time."""
+    ``_block_rows(N + 1)`` of them, as ``(row, params, stats)`` entries.
+    A block is filled as soon as it is complete, so only one block's
+    statistics are held at a time."""
     block = []
-    for i, stats, family in _row_statistics(records, N):
+    for i, stats in _row_statistics(records, N):
         if on_support:
             stats = stats.on_support()
         rows[i]["n_mean"] = stats.mean
@@ -299,7 +286,7 @@ def _fill_rows(rows: list[dict], records: list[MaserParams], N: int | None, fill
         if block and (stats.N != block[0][2].N or len(block) == _block_rows(stats.N + 1)):
             fill_block(block)
             block = []
-        block.append((rows[i], records[i], stats, family))
+        block.append((rows[i], records[i], stats))
     if block:
         fill_block(block)
 
@@ -333,24 +320,19 @@ def _scan_theta_rows(cfg: dict, thetas_over_pi) -> list[dict]:
 
 
 def _scan_theta_block(block: list[tuple]) -> None:
-    """Fill the linewidth cells of a block's (row, params, stats, family)
-    entries: one call of each weight, generator and slope builder on the
-    block's records, each row reduced on its own slice.  The records
-    differ in g, so the builders take a family with one row per record:
-    the family of the stack the rows were searched in when the block is
-    that whole stack, else the records' node lists stacked anew.  The
-    builders evaluate the block's weighted levels only, and every sum
-    keeps its length and order (:func:`linewidth_components`)."""
-    rows, records, stats, families = zip(*block)
+    """Fill the linewidth cells of a block's (row, params, stats) entries:
+    one call of each weight, generator and slope builder on the block's
+    records, each row reduced on its own slice.  The records differ in g,
+    so the builders take the records' family, with one row per record
+    (:meth:`TrigAverages.for_params`).  The builders evaluate the block's
+    weighted levels only, and every sum keeps its length and order
+    (:func:`linewidth_components`)."""
+    rows, records, stats = zip(*block)
     N = stats[0].N
     if len(block) == 1:
         # one record: no row axis, which would only add broadcasting, and no lists
         records, stats = records[0], stats[0]
-        averages = TrigAverages.for_params(records)
-    else:
-        averages = families[0]
-        if averages is None or averages.rows != len(block) or any(f is not averages for f in families):
-            averages = TrigAverages.for_params(records)
+    averages = TrigAverages.for_params(records)
     columns = (
         linewidth_components(records, stats, averages),
         linewidth_mcgowan(records, stats, averages),
@@ -359,7 +341,7 @@ def _scan_theta_block(block: list[tuple]) -> None:
     )
     if len(block) == 1:
         columns = [[value] for value in columns]
-    for (row, row_params, row_stats, _), breakdown, d_mcgowan, d_slope in zip(block, *columns):
+    for (row, row_params, row_stats), breakdown, d_mcgowan, d_slope in zip(block, *columns):
         ratio, reference = schawlow_townes_ratio(row_params, row_stats, breakdown.total)
         row.update(
             D_main=breakdown.total,
@@ -491,10 +473,10 @@ def _uniform_rows(cfg: dict, families, theta_bars) -> list[dict]:
 
 
 def _uniform_block(families, block: list[tuple]) -> None:
-    """Fill the linewidth cells of a block's (row, params, stats, family)
-    entries, whose records differ in r only: each route runs once on the
-    block, and each row is reduced on its own slice."""
-    rows, records, stats, _ = zip(*block)
+    """Fill the linewidth cells of a block's (row, params, stats) entries,
+    whose records differ in r only: each route runs once on the block, and
+    each row is reduced on its own slice."""
+    rows, records, stats = zip(*block)
     columns = {
         "D_exact": linewidth_exp_closed(records, stats),
         "D_exp_scully": linewidth_exp_scully(records, stats),
@@ -522,7 +504,7 @@ def cmd_uniform_convergence(cfg: dict) -> None:
     columns = ["theta_bar", "n_mean", "D_exact", "D_exp_scully"]
     columns += [f"D_order_{o[0]}" for o in orders] + ["status"]
     # a family depends on g_bar = g tau_bar, not on the row's rate: the rows
-    # share one per order pair, and with it its coefficient tables and sums
+    # share one per order pair
     base = _params_from_config(dict(cfg, rate=0.0))
     families = [(o[0], build_uniform_lindblad(base, o)) for o in orders]
     rows = _map_ordered(functools.partial(_uniform_rows, cfg, families), theta_bars, int(cfg["jobs"]))

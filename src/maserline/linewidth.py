@@ -168,7 +168,7 @@ def linewidth_components(
 
     ``stats`` may also be a block: a sequence of statistics on one basis
     size, with one row of ``averages`` per statistics
-    (:meth:`TrigAverages.stack`), or with ``params`` the block's records
+    (:meth:`TrigAverages.for_params` of the records), or with ``params`` the block's records
     (:func:`maserline.model.block_rates`).  The weights are built once for
     the block, and the result is the list of the rows' breakdowns.
 

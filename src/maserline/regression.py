@@ -43,7 +43,7 @@ The row axis: the records of a block (:func:`maserline.model.block_rates`)
 have their generators built at once, as one stacked
 :class:`SidebandGenerator`.  Records that differ in g (the rows of a
 ``scan-theta`` block) take a family with a row axis
-(:meth:`TrigAverages.stack`); records that differ in r (the rows of a
+(:meth:`TrigAverages.for_params` of the records); records that differ in r (the rows of a
 ``uniform-convergence`` block) take their rates as a column, beside one
 shared family.  :func:`linewidth_from_slope` then reduces each row on its
 own slice, with the bits of the one-row call.

@@ -16,7 +16,9 @@ takes all its links: on a given truncation (:func:`steady_states`), or on
 a first search candidate that one chunk takes whole
 (:func:`search_rows`).  The logs, the running sum and the normalization
 then carry a leading row axis, and each row keeps the bits of its
-one-record call.  Every other evaluation runs one record at a time.
+one-record call.  Each such evaluation builds the records' family
+(:meth:`TrigAverages.for_params` of the block) itself.  Every other
+evaluation runs one record at a time.
 """
 
 from __future__ import annotations
@@ -186,13 +188,7 @@ def _tail_bound(p: np.ndarray, next_ratio: float) -> float:
     return top * next_ratio / (1.0 - next_ratio)
 
 
-def steady_state(
-    params: MaserParams,
-    N: int | None = None,
-    averages: TrigAverages | None = None,
-    *,
-    start: tuple[int, int] | None = None,
-) -> PhotonStatistics:
+def steady_state(params: MaserParams, N: int | None = None, averages: TrigAverages | None = None) -> PhotonStatistics:
     """Steady state for any supported interaction-time distribution.
 
     The tau average in the gain uses ``averages`` when given (e.g. a
@@ -201,21 +197,19 @@ def steady_state(
 
     With ``N``, the search's evaluator takes links 0..N whole, in one
     :func:`recurrence_ratios` call.  Without ``N`` this is
-    ``auto_truncation(params, start)``, whose accepted candidate already
-    holds p (``start``: the record's :func:`search_start`, when the caller
-    holds it).  With ``averages`` and no ``N``, the truncation is the one
-    that search picks with the default averages, and the recurrence is
-    evaluated again with ``averages`` on it.
+    ``auto_truncation(params)``, whose accepted candidate already holds p.
+    With ``averages`` and no ``N``, the truncation is the one that search
+    picks with the default averages, and the recurrence is evaluated again
+    with ``averages`` on it.
     """
     if N is None:
-        stats = auto_truncation(params, start)
+        stats = auto_truncation(params)
         if averages is None:
             return stats
         N = stats.N
     if N < 1:
         raise ValueError(f"truncation must be at least 1, got {N}")
-    ratios, p = _recurrence(params, N, N + 1, averages)
-    return PhotonStatistics(p, N, _tail_bound(p, float(ratios[N])))
+    return _candidate_statistics(*_recurrence(params, N, N + 1, averages), N)
 
 
 def steady_states(records, N: int, averages: TrigAverages | None = None) -> list[PhotonStatistics]:
@@ -233,8 +227,7 @@ def steady_states(records, N: int, averages: TrigAverages | None = None) -> list
     if averages is None:
         averages = TrigAverages.for_params(records)
     ratios, p = _recurrence(records, N, N + 1, averages)
-    return [PhotonStatistics(row_p, N, _tail_bound(row_p, float(row_ratios[N])))
-            for row_ratios, row_p in zip(ratios, p)]
+    return [_candidate_statistics(row_ratios, row_p, N) for row_ratios, row_p in zip(ratios, p)]
 
 
 def _fallen_by(params: MaserParams, lo: int, gap: float, limit: int) -> int:
@@ -266,6 +259,9 @@ def _recurrence(params, N: int, settled: int, averages: TrigAverages | None):
     maximum, or a trapping zero was hit.  The first chunk reaches
     ``settled`` and at least :data:`FIRST_CHUNK` links; each later one ends
     where the bound n_ex/(n+1) makes (ii) certain, or after the edge link.
+    A chunk that would end at N takes the edge link N too: numpy's einsum
+    contracts a node list on a single level by another path, whose bits
+    differ, and the edge ratio sets the tail bound.
     From L on log p only falls, so every later p_n is exactly 0.0, as when
     every link is evaluated.  p is zero-filled there and normalized over
     all N + 1 levels, so the pairwise blocks of its sum, and its bits, are
@@ -290,6 +286,8 @@ def _recurrence(params, N: int, settled: int, averages: TrigAverages | None):
             else:
                 gap = float(log_chunks[-1][-1]) - peak + UNDERFLOW_LOG
                 hi = _fallen_by(params, lo, gap, N + 1)
+            if hi == N:  # a chunk of the edge link alone would give its ratio other bits
+                hi = N + 1
             chunk = recurrence_ratios(params, hi, averages, lo)
             if rows:  # records that share every rate and a family without rows give one row
                 chunk = np.broadcast_to(chunk, rows + chunk.shape[-1:])
@@ -355,17 +353,19 @@ def _adequate(ratios: np.ndarray, p: np.ndarray, candidate: int):
 
 
 def _candidate_statistics(ratios: np.ndarray, p: np.ndarray, candidate: int) -> PhotonStatistics:
+    """The statistics of truncation ``candidate`` from the ratios and p of
+    :func:`_recurrence`, for every path that evaluates it, with or without
+    a search."""
     # p_N == 0 when the edge link was not evaluated: the bound reads no ratio
     edge = float(ratios[candidate]) if ratios.size > candidate else 0.0
     return PhotonStatistics(p, candidate, _tail_bound(p, edge))
 
 
-def auto_truncation(params: MaserParams, start: tuple[int, int] | None = None) -> PhotonStatistics:
+def auto_truncation(params: MaserParams) -> PhotonStatistics:
     """Statistics on a truncation N with the recurrence contracting on
     N/4 <= n < N and an adequately small tail, from default averages.
 
-    Candidates start at :func:`search_start` (``start``, when the caller
-    already holds it) and double on failure up to
+    Candidates start at :func:`search_start` and double on failure up to
     :data:`HARD_LIMIT` levels.  Each one runs the evaluator of
     ``steady_state(params, N)`` from level 0, told the level past which
     every link ratio contracts by the bound the candidate rule rests on.
@@ -377,7 +377,7 @@ def auto_truncation(params: MaserParams, start: tuple[int, int] | None = None) -
     """
     if params.r == 0.0 and params.n_th == 0.0:
         return PhotonStatistics(np.array([1.0, 0.0]), 1, 0.0)
-    candidate, settled = start or search_start(params)
+    candidate, settled = search_start(params)
     averages = TrigAverages.for_params(params)
     while True:
         if candidate > HARD_LIMIT:
@@ -390,40 +390,36 @@ def auto_truncation(params: MaserParams, start: tuple[int, int] | None = None) -
         candidate *= 2
 
 
-def search_width(params: MaserParams, start: tuple[int, int] | None = None) -> int | None:
+def search_width(params: MaserParams) -> int | None:
     """The levels of the first candidate of the search of ``params`` when
     one chunk takes them whole, else None: such records form the blocks of
     :func:`search_rows`, and any other is searched on its own.  A record at
-    r = 0 is searched on its own too.  ``start`` is the record's
-    :func:`search_start`, when the caller already holds it."""
+    r = 0 is searched on its own too."""
     if params.r == 0.0:
         return None
-    candidate, settled = start or search_start(params)
+    candidate, settled = search_start(params)
     return candidate + 1 if candidate + 1 <= max(FIRST_CHUNK, settled) else None
 
 
-def search_rows(records) -> tuple[list[PhotonStatistics], TrigAverages]:
-    """``auto_truncation`` of each record of a block, and the records'
-    family (:meth:`TrigAverages.for_params`), which the block's builders
-    may share.
+def search_rows(records) -> list[PhotonStatistics]:
+    """``auto_truncation`` of each record of a block.
 
     The records must share one :func:`search_width`, else ``ValueError``.
-    Their first candidate is evaluated once, with a row axis, and each
-    row takes the acceptance test of the search; a row whose candidate is
-    rejected runs :func:`auto_truncation` on its own.  p, N and the tail
+    Their first candidate is evaluated once, with a row axis, on the
+    records' family (:meth:`TrigAverages.for_params`), and each row takes
+    the acceptance test of the search; a row whose candidate is rejected
+    runs :func:`auto_truncation` on its own.  p, N and the tail
     bound of every row are the bits of ``auto_truncation(record)``.
     """
     widths = {search_width(record) for record in records}
     if len(widths) != 1 or None in widths:
         raise ValueError(f"a block search needs one first candidate that one chunk takes whole, got widths {widths}")
     candidate = widths.pop() - 1
-    averages = TrigAverages.for_params(records)
-    ratios, p = _recurrence(records, candidate, candidate + 1, averages)
-    stats = [
+    ratios, p = _recurrence(records, candidate, candidate + 1, TrigAverages.for_params(records))
+    return [
         _candidate_statistics(row_ratios, row_p, candidate) if accepted else auto_truncation(record)
         for record, row_ratios, row_p, accepted in zip(records, ratios, p, _adequate(ratios, p, candidate))
     ]
-    return stats, averages
 
 
 def require_excitation(stats: PhotonStatistics) -> float:

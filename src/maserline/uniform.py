@@ -43,23 +43,6 @@ from .regression import SidebandGenerator, build_sideband_generator, initial_sid
 from .steady import PhotonStatistics, steady_state, steady_states
 
 
-# entries a LaguerreAverages keeps before it starts afresh: a row of
-# uniform-convergence reads the tables of 5 distinct arguments and 6 sums
-_MEMO_SIZE = 16
-
-
-def _key(x) -> tuple:
-    """The memo key of an argument: its float64 shape and bytes."""
-    x = np.asarray(x, dtype=float)
-    return x.shape, x.tobytes()
-
-
-def _read_only(value) -> np.ndarray:
-    value = np.asarray(value)
-    value.flags.writeable = False
-    return value
-
-
 def _laguerre_powers(x: np.ndarray, order: int) -> np.ndarray:
     """Complex coefficients z_k = (-ix)^k / (1 - ix)^(k+1), k = 0..order.
 
@@ -89,56 +72,31 @@ class LaguerreAverages(TrigAverages):
     ``one_minus_cos_diff`` is inherited from the closed form:
     <cos(d t)> = <cos(d t) L_0(t)> has only its degree-0 coefficient, so
     the truncated sum is the closed form at every order.
+
+    Each method computes its coefficient tables and sums when called: the
+    builders evaluate a family once per block of rows, so nothing is kept.
     """
 
     def __init__(self, g_bar: float, order_sin: int, order_cos: int):
         super().__init__(g_bar=g_bar)
         self.order_sin = order_sin
         self.order_cos = order_cos
-        # read-only entries: argument (shape, bytes) -> coefficient tables, and
-        # (method, argument keys) -> the sums of cos_cos, sin_sin and
-        # anticommutator_norm, which depend on the arguments alone
-        self._memo: dict[tuple, tuple[np.ndarray, np.ndarray] | np.ndarray] = {}
-
-    def _memoized(self, key, compute):
-        """The memo's entry at ``key``, computed on first use."""
-        value = self._memo.get(key)
-        if value is None:
-            value = compute()
-            if len(self._memo) >= _MEMO_SIZE:
-                self._memo.clear()
-            self._memo[key] = value
-        return value
 
     def _tables(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Cosine and sine coefficient tables [k, ...] at gb x, from one
-        recurrence per distinct argument; the tables are read-only."""
-        x = np.asarray(x, dtype=float)
-
-        def tables():
-            z = _read_only(_laguerre_powers(self._g_bar * x, max(self.order_sin, self.order_cos)))
-            return z.real[: self.order_cos + 1], z.imag[: self.order_sin + 1]
-
-        return self._memoized(_key(x), tables)
+        recurrence."""
+        z = _laguerre_powers(self._g_bar * np.asarray(x, dtype=float), max(self.order_sin, self.order_cos))
+        return z.real[: self.order_cos + 1], z.imag[: self.order_sin + 1]
 
     def cos_cos(self, x, y):
-        return self._memoized(
-            ("cos_cos", _key(x), _key(y)),
-            lambda: _read_only(np.sum(self._tables(x)[0] * self._tables(y)[0], axis=0)),
-        )
+        return np.sum(self._tables(x)[0] * self._tables(y)[0], axis=0)
 
     def sin_sin(self, x, y):
-        return self._memoized(
-            ("sin_sin", _key(x), _key(y)),
-            lambda: _read_only(np.sum(self._tables(x)[1] * self._tables(y)[1], axis=0)),
-        )
+        return np.sum(self._tables(x)[1] * self._tables(y)[1], axis=0)
 
     def anticommutator_norm(self, s):
-        def norm():
-            cos, sin = self._tables(s)
-            return _read_only(np.sum(cos * cos, axis=0) + np.sum(sin * sin, axis=0))
-
-        return self._memoized(("anticommutator_norm", _key(s)), norm)
+        cos, sin = self._tables(s)
+        return np.sum(cos * cos, axis=0) + np.sum(sin * sin, axis=0)
 
     def pump_gain(self, s, snap_trapping: bool = False):
         # rational in s with no zero at s > 0: no trapping states to snap

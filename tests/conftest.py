@@ -40,7 +40,7 @@ def row_block(request, maser_params):
     r, n_th = request.param
     rows = [maser_params(theta, r=r, n_th=n_th) for theta in ROW_THETAS]
     N = 4 * int(max(50.0, r))
-    return rows, N, TrigAverages.stack([TrigAverages.for_params(p) for p in rows])
+    return rows, N, TrigAverages.for_params(rows)
 
 
 @pytest.fixture

@@ -226,6 +226,27 @@ def test_node_family_holds_the_rabi_angles(dist, n_nodes):
     np.testing.assert_array_equal(weights, nodes.weights)
 
 
+def test_block_family_holds_the_node_lists_of_its_records():
+    """A block's records give one node list with a row axis in one step:
+    row i has the bits of record i's own family, for fixed-tau records
+    (two of whose taus differ) and for three-node records that share their
+    weights (two of whose node lists differ)."""
+    gs = (0.31, 1.7, 2.9)
+    fixed = [MaserParams(1.0, 0.01, 50.0, g, FixedTau(tau)) for g, tau in zip(gs, (1.0, 1.0, 0.6))]
+    weights = [0.3, 0.4, 0.3]
+    dists = [DiscreteTau([0.7, 1.0, 1.3], weights)] * 2 + [DiscreteTau([0.5, 1.0, 1.5], weights)]
+    nodes = [MaserParams(1.0, 0.01, 50.0, g, dist) for g, dist in zip(gs, dists)]
+    s = np.sqrt(np.arange(1.0, 40.0))
+    for records in (fixed, nodes):
+        block = TrigAverages.for_params(records)
+        assert block.rows == len(records)
+        gtaus, block_weights = block.point_data
+        for i, params in enumerate(records):
+            one = TrigAverages.for_params(params)
+            assert np.array_equal(gtaus[i], one.point_data[0]) and np.array_equal(block_weights, one.point_data[1])
+            assert np.array_equal(block.pump_gain(s)[i], one.pump_gain(s))
+
+
 @pytest.mark.parametrize(
     "dist", [FixedTau(1.0), DiscreteTau(np.array([0.5, 1.5]), np.array([0.25, 0.75]))], ids=["fixed", "discrete"]
 )

@@ -157,24 +157,15 @@ def test_scan_theta_blocks_of_two_rows_give_the_same_bytes(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("trunc", [None, 300])
-def test_scan_theta_stacks_share_one_family_with_their_block(tmp_path, monkeypatch, trunc):
+def test_scan_theta_stacked_rows_print_their_one_row_library_results(tmp_path, trunc):
     """At r/kappa = 50 the rows are searched (or, with --trunc, solved) as
-    one stack, whose family the block's builders reuse: the node lists are
-    stacked once, and every row prints its one-row library results."""
+    one stack and filled as one block, and every row prints its one-row
+    library results."""
     argv = ["scan-theta", "--rate", "50", "--nth", "0.01", "--min", "0.3", "--max", "3.6", "--steps", "7"]
     if trunc is not None:
         argv += ["--trunc", str(trunc)]
-    stacked = []
-    stack = TrigAverages.stack.__func__
-
-    def counted(cls, families):
-        stacked.append(len(families))
-        return stack(cls, families)
-
-    monkeypatch.setattr(TrigAverages, "stack", classmethod(counted))
     code, out = run(tmp_path, argv)
     assert code == 0
-    assert stacked == [7]
     for row in read_csv(out)[2]:
         params = MaserParams(1.0, 0.01, 50.0, float(row["g_tau"]), FixedTau(1.0))
         stats = steady_state(params, trunc).on_support()

@@ -412,11 +412,11 @@ def test_block_linewidths_are_the_one_row_linewidths(row_block):
 
 
 def test_block_of_node_lists_matches_the_one_row_families(maser_params):
-    """Three-node records that differ in g only stack into a (rows, 3)
-    family; its weights keep each record's bits."""
+    """Three-node records that differ in g only give a (rows, 3) family;
+    its weights keep each record's bits."""
     dist = DiscreteTau([0.7, 1.0, 1.3], [0.3, 0.4, 0.3])
     rows = [dataclasses.replace(maser_params(theta), tau_dist=dist) for theta in (0.4, 1.7, 2.9)]
-    block = TrigAverages.stack([TrigAverages.for_params(p) for p in rows])
+    block = TrigAverages.for_params(rows)
     stats = [steady_state(p, 200) for p in rows]
     cos_w, sin_w = pump_weights(rows[0], 200, block)
     for i, params in enumerate(rows):
@@ -428,18 +428,25 @@ def test_block_of_node_lists_matches_the_one_row_families(maser_params):
 
 def test_blocks_are_checked(maser_params, laser_params):
     rows = [maser_params(theta) for theta in (0.5, 2.5)]
-    block = TrigAverages.stack([TrigAverages.for_params(p) for p in rows])
+    block = TrigAverages.for_params(rows)
     with pytest.raises(ValueError, match="one basis size"):
         linewidth_components(rows[0], [steady_state(rows[0], 200), steady_state(rows[1], 220)], block)
     with pytest.raises(ValueError):  # two rows of averages, three statistics
         linewidth_components(rows[0], [steady_state(rows[0], 200)] * 3, block)
     with pytest.raises(VacuumStateError):
         linewidth_mcgowan(rows[0], [steady_state(rows[0], 200), point_statistics(0, 201)], block)
-    with pytest.raises(ValueError, match="no node list"):
-        TrigAverages.stack([TrigAverages.for_params(laser_params(2.0))])
+    # a block's family: node lists must share their weights, the records
+    # one kind of distribution, and a block selects no quadrature rule
     discrete = dataclasses.replace(rows[0], tau_dist=DiscreteTau([0.5, 1.5], [0.5, 0.5]))
+    skewed = dataclasses.replace(rows[1], tau_dist=DiscreteTau([0.5, 1.5], [0.25, 0.75]))
     with pytest.raises(ValueError, match="share their weights"):
-        TrigAverages.stack([TrigAverages.for_params(rows[0]), TrigAverages.for_params(discrete)])
+        TrigAverages.for_params([discrete, skewed])
+    for mixed in ([rows[0], discrete], [rows[0], laser_params(2.0)], [laser_params(2.0), discrete]):
+        with pytest.raises(ValueError, match="share tau_dist"):
+            TrigAverages.for_params(mixed)
+    for block_rows in (rows, [laser_params(1.0), laser_params(2.0)]):
+        with pytest.raises(ValueError, match="n_nodes=8"):
+            TrigAverages.for_params(block_rows, 8)
 
 
 def test_block_entry_points_check_their_records(maser_params, laser_params):
@@ -571,12 +578,12 @@ def test_weighted_levels_give_the_bits_of_the_whole_range(monkeypatch):
     assert narrowed > 400  # most statistics have levels outside their weighted range
     records = [MaserParams(1.0, 0.01, 50.0, t * math.pi / math.sqrt(50.0), FixedTau(1.0))
                for t in np.linspace(0.1, 4.0, 40)]
-    stats, family = search_rows(records)
+    stats = search_rows(records)
     assert {row_stats.N for row_stats in stats} == {200}
     lo, hi = maserline.linewidth._weighted_levels(stats)
     assert hi - lo < 201 and (lo, hi) == (min(s.weighted_levels[0] for s in stats),
                                           max(s.weighted_levels[1] for s in stats))
-    _assert_bits_of_the_whole_range(monkeypatch, records, stats, family)
+    _assert_bits_of_the_whole_range(monkeypatch, records, stats, TrigAverages.for_params(records))
 
 
 def test_weighted_levels_hold_every_level_above_the_floor():

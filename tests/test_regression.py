@@ -223,7 +223,7 @@ def test_block_generator_and_slope_rows_are_the_one_row_results(row_block):
 
 def test_stacked_generator_applies_per_row(maser_params):
     rows = [maser_params(theta) for theta in (0.7, 2.5)]
-    block = TrigAverages.stack([TrigAverages.for_params(p) for p in rows])
+    block = TrigAverages.for_params(rows)
     gen = build_sideband_generator(rows[0], 60, block)
     v = np.random.default_rng(3).standard_normal((2, 60))
     for i, params in enumerate(rows):

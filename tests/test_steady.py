@@ -414,8 +414,7 @@ def test_stacked_statistics_are_the_bits_of_each_record():
     trapped = 0
     for records, N in _stacked_samples():
         if N is None:
-            stats, family = search_rows(records)
-            assert family.rows in (None, len(records))
+            stats = search_rows(records)
         else:
             stats = steady_states(records, N)
         _assert_statistics_bits(stats, records, N)
@@ -427,7 +426,7 @@ def test_stacked_statistics_are_the_bits_of_each_record():
         _assert_statistics_bits(steady_states(records, 250, family), records, 250, family)
 
 
-def test_stacked_search_falls_back_to_each_record_on_its_own(recurrence_calls):
+def test_stacked_search_falls_back_to_each_record_on_its_own(monkeypatch, recurrence_calls):
     """A row whose first candidate is rejected runs its own search, which
     doubles it; a record at r = 0 or with a first candidate beyond one
     chunk is searched on its own, and the scan's runs keep the row order."""
@@ -435,7 +434,7 @@ def test_stacked_search_falls_back_to_each_record_on_its_own(recurrence_calls):
     # of 0.99 leaves a tail too long for 200 levels, and one of 0.01 does not
     fast, slow = (MaserParams(1.0, 1.0, r, 0.01, FixedTau(1.0)) for r in (100.0, 9900.0))
     assert search_width(fast) == search_width(slow) == 201
-    stats, _ = search_rows([fast, slow, fast])
+    stats = search_rows([fast, slow, fast])
     assert [s.N for s in stats] == [200, stats[1].N, 200] and stats[1].N >= 400
     _assert_statistics_bits(stats, [fast, slow, fast])
     assert recurrence_calls[:2] == [201, 201] and 401 in recurrence_calls
@@ -446,11 +445,18 @@ def test_stacked_search_falls_back_to_each_record_on_its_own(recurrence_calls):
     with pytest.raises(ValueError, match="one first candidate"):
         search_rows([maser, thermal])
     records = [maser, thermal, slow, wide, maser, maser]
+    stacks = []
+
+    def recorded(run):
+        stacks.append(list(run))
+        return search_rows(run)
+
+    monkeypatch.setattr(maserline.cli, "search_rows", recorded)
     rows = list(maserline.cli._row_statistics(records, None))
-    assert [i for i, _, _ in rows] == list(range(6))
-    assert [family is None for *_, family in rows] == [False, True, False, True, False, False]
-    assert rows[4][2] is rows[5][2]  # the last two rows form one stack
-    _assert_statistics_bits([stats for _, stats, _ in rows], records)
+    assert [i for i, _ in rows] == list(range(6))
+    # rows 1 and 3 are searched on their own; the last two rows form one stack
+    assert stacks == [[maser], [slow], [maser, maser]]
+    _assert_statistics_bits([stats for _, stats in rows], records)
 
 
 def test_stacked_statistics_refuse_mixed_records(maser_params, laser_params):
@@ -489,6 +495,25 @@ def test_search_evaluates_the_recurrence_to_the_support(maser_params, recurrence
     support = int(np.flatnonzero(stats.p)[-1]) + 1
     assert stats.N == 20000 and support < 5000
     assert 0 < recurrence_calls.levels <= 2 * max(5000, support)
+
+
+def test_search_evaluates_the_edge_link_with_the_links_below_it():
+    """At r/kappa = 64 the first candidate of a pumped record is 256 levels,
+    where the first chunk of the recurrence ends; the edge link is then
+    evaluated with that chunk, not alone, so on this sample of three-node
+    records every search gives the bits of ``steady_state(params, N)``, its
+    tail bound included."""
+    dist = DiscreteTau([0.7, 1.0, 1.3], [0.3, 0.4, 0.3])
+    records = [MaserParams(1.0, n_th, 64.0, theta / 8.0, dist)
+               for n_th in (0.0, 0.01, 0.1, 1.0) for theta in np.linspace(0.5, 4.0, 200) * math.pi]
+    at_chunk_end = 0
+    for params in records:
+        searched = auto_truncation(params)
+        at_chunk_end += searched.N == maserline.steady.FIRST_CHUNK
+        given = steady_state(params, searched.N)
+        assert np.array_equal(searched.p, given.p), params
+        assert searched.tail_mass_bound == given.tail_mass_bound, params
+    assert at_chunk_end > 400
 
 
 # -- cut to the nonzero support ------------------------------------------------
